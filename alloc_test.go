@@ -3,6 +3,10 @@ package teechain
 import (
 	"testing"
 	"time"
+
+	"teechain/internal/chain"
+	"teechain/internal/cryptoutil"
+	"teechain/internal/wire"
 )
 
 // TestPaymentAllocationBudget pins the steady-state cost of the
@@ -80,5 +84,62 @@ func TestReplicatedPaymentAllocationBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(5000, pay)
 	if avg > 2 {
 		t.Fatalf("replicated payment path allocates %.2f allocs/payment in steady state, budget is 2", avg)
+	}
+}
+
+// TestMultihopCodecAllocationBudget pins the framing cost of a routed
+// payment's stage messages: encoding any of the eight Mh* payloads into
+// a buffer that has reached its size does not allocate, and decoding a
+// four-hop lock — whose Path, Fees and τ must be fresh on every decode,
+// because the enclave keeps them — stays within 20 allocations (it is
+// 15 for this τ; gob took 491 for the round trip).
+func TestMultihopCodecAllocationBudget(t *testing.T) {
+	var key cryptoutil.PublicKey
+	key[0] = 4
+	tau := &chain.Transaction{}
+	for c := 0; c < 3; c++ {
+		tau.Inputs = append(tau.Inputs, chain.TxIn{
+			Prev: chain.OutPoint{Tx: chain.TxID{byte(c + 1)}},
+			Sigs: make([]cryptoutil.Signature, 1),
+		})
+		tau.Outputs = append(tau.Outputs,
+			chain.TxOut{Value: 10, Script: chain.PayToKey(key)},
+			chain.TxOut{Value: 20, Script: chain.PayToKey(key)})
+	}
+	lock := &wire.MhLock{
+		Payment: "mh-n00-123456", Amount: 3, Count: 1, Channel: "n00-n01-1", Tau: tau,
+		Path: make([]wire.PathHop, 4), Fees: make([]chain.Amount, 4),
+	}
+	msgs := []wire.BinaryMessage{
+		lock,
+		&wire.MhSign{Payment: lock.Payment, Tau: tau},
+		&wire.MhPreUpdate{Payment: lock.Payment, Tau: tau},
+		&wire.MhUpdate{Payment: lock.Payment},
+		&wire.MhPostUpdate{Payment: lock.Payment},
+		&wire.MhRelease{Payment: lock.Payment},
+		&wire.MhAbort{Payment: lock.Payment, Reason: "upstream channel locked", Transient: true},
+		&wire.MhAck{Payment: lock.Payment, OK: true},
+	}
+	buf := make([]byte, 0, 4096)
+	for _, m := range msgs {
+		if avg := testing.AllocsPerRun(200, func() {
+			if _, err := m.AppendPayload(buf[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("%T.AppendPayload allocates %.1f times, budget is 0", m, avg)
+		}
+	}
+	payload, err := lock.AppendPayload(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var into wire.MhLock
+	if avg := testing.AllocsPerRun(200, func() {
+		if err := into.DecodePayload(payload); err != nil {
+			t.Fatal(err)
+		}
+	}); avg > 20 {
+		t.Fatalf("MhLock.DecodePayload allocates %.1f times, budget is 20", avg)
 	}
 }

@@ -117,9 +117,6 @@ func (e *Enclave) EjectPayment(pid wire.PaymentID) (*SettleResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("core: unknown payment %s", pid)
 	}
-	if mh.Done {
-		return nil, fmt.Errorf("core: payment %s already completed", pid)
-	}
 	up, down := e.mhChannels(mh)
 	stage := MhIdle
 	if down != nil {
@@ -211,9 +208,6 @@ func (e *Enclave) EjectWithPoPT(pid wire.PaymentID, popt *chain.Transaction) (*S
 	mh, ok := e.state.Multihop[pid]
 	if !ok {
 		return nil, fmt.Errorf("core: unknown payment %s", pid)
-	}
-	if mh.Done {
-		return nil, fmt.Errorf("core: payment %s already completed", pid)
 	}
 	if popt == nil {
 		return nil, errors.New("core: missing PoPT transaction")

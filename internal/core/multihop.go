@@ -46,12 +46,11 @@ func validateMhPath(path []wire.PathHop) error {
 	if len(path) < 2 {
 		return errors.New("core: multi-hop path needs at least two hops")
 	}
-	seen := make(map[cryptoutil.PublicKey]bool, len(path))
-	for _, hop := range path {
-		if seen[hop.Identity] {
+	// Paths are a handful of hops: the quadratic scan beats a map.
+	for i, hop := range path {
+		if pathIndexOf(path[:i], hop.Identity) >= 0 {
 			return fmt.Errorf("core: path visits %s twice", hop.Identity)
 		}
-		seen[hop.Identity] = true
 	}
 	return nil
 }
@@ -176,13 +175,11 @@ func (e *Enclave) verifyTauChannel(tau *chain.Transaction, c *ChannelState, delt
 	if err != nil {
 		return err
 	}
-	inputs := make(map[chain.OutPoint]bool, len(tau.Inputs))
-	for _, in := range tau.Inputs {
-		inputs[in.Prev] = true
-	}
-	for _, d := range append(append([]wire.DepositInfo{}, c.MyDeps...), c.RemoteDeps...) {
-		if !inputs[d.Point] {
-			return fmt.Errorf("core: τ missing deposit %s of channel %s", d.Point, c.ID)
+	for _, deps := range [2][]wire.DepositInfo{c.MyDeps, c.RemoteDeps} {
+		for i := range deps {
+			if !tauSpends(tau, deps[i].Point) {
+				return fmt.Errorf("core: τ missing deposit %s of channel %s", deps[i].Point, c.ID)
+			}
 		}
 	}
 	myPost := c.MyBal + delta
@@ -197,6 +194,17 @@ func (e *Enclave) verifyTauChannel(tau *chain.Transaction, c *ChannelState, delt
 		return fmt.Errorf("%w: τ does not pay remote post-payment balance %d", ErrStaleTau, remotePost)
 	}
 	return nil
+}
+
+// tauSpends reports whether τ has an input spending point. τ has a few
+// inputs per hop, so a scan beats building a set.
+func tauSpends(tau *chain.Transaction, point chain.OutPoint) bool {
+	for i := range tau.Inputs {
+		if tau.Inputs[i].Prev == point {
+			return true
+		}
+	}
+	return false
 }
 
 func tauPays(tau *chain.Transaction, key cryptoutil.PublicKey, value chain.Amount) bool {
@@ -219,16 +227,18 @@ func (e *Enclave) signTauLocal(tau *chain.Transaction, channels ...*ChannelState
 		if c == nil {
 			continue
 		}
-		deps := append(append([]wire.DepositInfo{}, c.MyDeps...), c.RemoteDeps...)
-		for i, in := range tau.Inputs {
-			for _, d := range deps {
-				if d.Point != in.Prev {
-					continue
-				}
-				for _, k := range d.Script.Keys {
-					if kp, ok := e.btcKeys[k.Address()]; ok {
-						if err := tau.SignInput(i, d.Script, kp); err != nil {
-							return err
+		for i := range tau.Inputs {
+			for _, deps := range [2][]wire.DepositInfo{c.MyDeps, c.RemoteDeps} {
+				for j := range deps {
+					d := &deps[j]
+					if d.Point != tau.Inputs[i].Prev {
+						continue
+					}
+					for _, k := range d.Script.Keys {
+						if kp, ok := e.btcKeys[k.Address()]; ok {
+							if err := tau.SignInput(i, d.Script, kp); err != nil {
+								return err
+							}
 						}
 					}
 				}

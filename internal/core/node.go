@@ -1059,7 +1059,7 @@ func (n *Node) reactToChannelSpend(chID wire.ChannelID, point chain.OutPoint, tx
 	if pid == "" {
 		return
 	}
-	if mh, ok := n.enclave.State().Multihop[pid]; !ok || mh.Done {
+	if _, ok := n.enclave.State().Multihop[pid]; !ok {
 		return
 	}
 	sr, err := n.enclave.EjectWithPoPT(pid, tx)
@@ -1080,8 +1080,7 @@ func (n *Node) reactToSpend(pid wire.PaymentID, point chain.OutPoint, tx *chain.
 	if res, err := n.enclave.ObserveSpent(point, tx); err == nil {
 		n.dispatch(res)
 	}
-	mh, ok := n.enclave.State().Multihop[pid]
-	if !ok || mh.Done {
+	if _, ok := n.enclave.State().Multihop[pid]; !ok {
 		return
 	}
 	// A foreign channel of an in-flight payment settled prematurely:

@@ -161,7 +161,11 @@ type DepositRecord struct {
 	Dissociating bool
 }
 
-// MultihopState tracks one in-flight multi-hop payment at one node.
+// MultihopState tracks one in-flight multi-hop payment at one node. It
+// exists from OpMhStart to OpMhFinish and no longer: a finished payment
+// (completed, aborted or ejected) leaves State.Multihop, so a hub's
+// state — and every snapshot of it — is sized by what is in flight, not
+// by what it ever forwarded.
 type MultihopState struct {
 	Payment wire.PaymentID
 	Amount  chain.Amount
@@ -174,9 +178,6 @@ type MultihopState struct {
 	Index int
 	// Tau is the intermediate settlement transaction once seen.
 	Tau *chain.Transaction
-	// TauPostOutputs records, per path deposit input, which outputs τ
-	// pays — used to classify PoPTs as pre- or post-payment.
-	Done bool
 }
 
 // State is the complete replicable logical state of a Teechain enclave:
@@ -547,12 +548,10 @@ func (s *State) Apply(op *Op) error {
 			}
 		}
 	case OpMhFinish:
-		mh, ok := s.Multihop[op.Payment]
-		if !ok {
+		if _, ok := s.Multihop[op.Payment]; !ok {
 			return fmt.Errorf("core: unknown payment %s", op.Payment)
 		}
-		mh.Done = true
-		mh.Tau = nil
+		delete(s.Multihop, op.Payment)
 	case OpSettleIntent:
 		c, err := s.openChannel(op.Channel)
 		if err != nil {

@@ -66,8 +66,14 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 // invariant: balances, mirrors, and the acked count verified
 // unchanged by hand, while the MhLock/MultihopState fee schedule and
 // the gossip wire messages grew the descriptors and moved latsum/now
-// once more.
-const replicatedDeploymentDigest = "6bfedc25379f65789a10a7638c0f1a23"
+// once more. Re-pinned for the routed-payment performance PR: the
+// digest covers State.Multihop only through the size of the gob
+// snapshot in ReplAttach — MultihopState lost its Done field (finished
+// payments now leave the map), the descriptor shrank, and the final
+// virtual time moved 480 ns earlier (75987525000 → 75987524520).
+// Balances, mirrors, the acked count and latsum verified unchanged by
+// hand (99206/50794, 200, 64026635984).
+const replicatedDeploymentDigest = "badeba2e60597047913f464aaada7b33"
 
 // TestReplicatedDeploymentDigest replays the replicated deployment and
 // compares against the pinned digest.

@@ -103,11 +103,12 @@ func (rn RoutedNet) Deploy(c *Cluster) ([]wire.ChannelID, error) {
 // AwaitGraphs blocks until every node's gossip graph has converged on
 // the freshly-deployed network: all 2·channels directed edges present
 // (both endpoints announce their side) and the total announced
-// capacity equal to the total deposited — i.e. every funding
-// re-announcement has arrived, not just the capacity-0 open-time ones.
+// capacity equal to what the deposits announce (each one's
+// route.HintCapacity) — i.e. every funding re-announcement has arrived,
+// not just the capacity-0 open-time ones.
 func (rn RoutedNet) AwaitGraphs(c *Cluster, timeout time.Duration) error {
 	wantEdges := 2 * len(rn.Channels)
-	wantCap := chain.Amount(len(rn.Channels)) * rn.Deposit
+	wantCap := chain.Amount(len(rn.Channels)) * route.HintCapacity(rn.Deposit)
 	deadline := time.Now().Add(timeout)
 	for _, name := range rn.Nodes {
 		g := c.Host(name).RouteGraph()

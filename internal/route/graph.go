@@ -83,10 +83,15 @@ func (g *Graph) Apply(ann *wire.ChanAnnounce) bool {
 	key := EdgeKey{Channel: ann.Channel, From: ann.From}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if e, ok := g.edges[key]; ok && ann.Version <= e.Version {
+	e, ok := g.edges[key]
+	if ok && ann.Version <= e.Version {
 		return false
 	}
-	g.edges[key] = &Edge{
+	if !ok {
+		e = new(Edge)
+		g.edges[key] = e
+	}
+	*e = Edge{
 		Channel:  ann.Channel,
 		From:     ann.From,
 		To:       ann.To,

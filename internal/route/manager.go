@@ -1,6 +1,7 @@
 package route
 
 import (
+	"math/bits"
 	"sync"
 
 	"teechain/internal/chain"
@@ -14,6 +15,26 @@ import (
 // edges than this — at which point the overflow is dropped and counted,
 // and the next anti-entropy summary exchange heals the gap.
 const MaxPeerQueue = 4096
+
+// hintBits is how many significant bits of a balance an announcement
+// keeps: exact below 32 and at powers of two, else less than 1/16 low.
+const hintBits = 5
+
+// HintCapacity is the capacity a node announces for a channel holding
+// balance: balance rounded DOWN to hintBits significant bits. The graph
+// is a hint — the enclave is the arbiter of what a channel can pay — so
+// a payment that keeps the balance inside its bucket leaves the edge as
+// announced, Announce swallows it, and no gossip is sent. Rounding down
+// means a route the pathfinder accepts is never refused for a balance
+// the hint overstated; the price is that the top < 1/16 of a balance is
+// not offered to the pathfinder in one payment.
+func HintCapacity(balance chain.Amount) chain.Amount {
+	if balance < 1<<hintBits {
+		return balance
+	}
+	drop := bits.Len64(uint64(balance)) - hintBits
+	return balance >> drop << drop
+}
 
 // Manager is a node's gossip engine: it owns the network graph, floods
 // fresh announcements to peers with (edge, version) dedup, answers
@@ -94,8 +115,9 @@ func (m *Manager) Handle(from cryptoutil.PublicKey, ann *wire.ChanAnnounce) bool
 // Announce versions and floods one of the node's own directed edges,
 // applying it to the local graph first. A no-op announcement (the graph
 // already holds this exact edge from us) is swallowed without a version
-// bump, so hosts can re-announce whole channel sets after every
-// balance-moving cold operation and only real changes hit the wire. It
+// bump, so hosts can re-announce whole channel sets after every cold
+// operation and only real changes hit the wire: with capacity passed
+// through HintCapacity, a multihop payment usually changes nothing. It
 // returns the announcement so callers can log or count it.
 func (m *Manager) Announce(channel wire.ChannelID, to cryptoutil.PublicKey, capacity chain.Amount, fee FeePolicy, closed bool) wire.ChanAnnounce {
 	if e, ok := m.graph.Edge(EdgeKey{Channel: channel, From: m.self}); ok &&

@@ -403,3 +403,44 @@ func TestManagerAnnounceAndSummaries(t *testing.T) {
 		t.Fatalf("HandleSummary: %+v", fresher)
 	}
 }
+
+// TestHintCapacity pins the announced-capacity rule: never above the
+// balance, less than 1/16 below it, monotone, and exact where exactness
+// is free — below 32 and on powers of two.
+func TestHintCapacity(t *testing.T) {
+	check := func(b chain.Amount) {
+		t.Helper()
+		h := HintCapacity(b)
+		if h > b || (h != b && (b-h)*16 >= b) {
+			t.Fatalf("HintCapacity(%d) = %d: want at most the balance and less than 1/16 below it", b, h)
+		}
+		if HintCapacity(h) != h {
+			t.Fatalf("HintCapacity(%d) = %d is not a fixed point", b, h)
+		}
+		if b > 0 && HintCapacity(b-1) > h {
+			t.Fatalf("HintCapacity(%d) = %d > HintCapacity(%d) = %d", b-1, HintCapacity(b-1), b, h)
+		}
+	}
+	for b := chain.Amount(0); b < 1<<13; b++ {
+		check(b)
+		if b < 32 && HintCapacity(b) != b {
+			t.Fatalf("HintCapacity(%d) = %d below 32", b, HintCapacity(b))
+		}
+	}
+	for shift := 0; shift < 63; shift++ {
+		p := chain.Amount(1) << shift
+		if HintCapacity(p) != p {
+			t.Fatalf("HintCapacity(2^%d) = %d", shift, HintCapacity(p))
+		}
+		check(p - 1)
+		check(p + 1)
+		check(p + p/3)
+	}
+	for _, c := range []struct{ in, want chain.Amount }{
+		{33, 32}, {63, 62}, {1000, 992}, {790, 768}, {50_000, 49_152}, {1<<40 - 1, 1<<40 - 1<<35},
+	} {
+		if got := HintCapacity(c.in); got != c.want {
+			t.Fatalf("HintCapacity(%d) = %d, want %d", c.in, got, c.want)
+		}
+	}
+}

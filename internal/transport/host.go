@@ -244,8 +244,12 @@ type channelInfo struct {
 	received atomic.Uint64
 }
 
+// mhOutcome is one multihop payment this host initiated and is waiting
+// on: payMultihopFees registers it in Host.mh and blocks on done;
+// handleEventLocked takes it out of the map, fills in the verdict and
+// closes done (the close orders the fields before the waiter's reads).
 type mhOutcome struct {
-	done      bool
+	done      chan struct{}
 	ok        bool
 	reason    string
 	transient bool
@@ -313,8 +317,11 @@ type Host struct {
 	ackWaiters atomic.Int32
 
 	// closing mirrors closed for lock-free fast-fail in blocking waits
-	// (set before Close wakes the ack waiters).
+	// (set before Close wakes the ack waiters); quit is the same signal
+	// as a channel, closed by Close, for everything that sleeps in a
+	// select: the flushers and multihop callers.
 	closing atomic.Bool
+	quit    chan struct{}
 
 	// observers fan enclave events out to control-plane subscribers
 	// (Observe). Copy-on-write: the hot path pays one atomic load when
@@ -328,7 +335,6 @@ type Host struct {
 	// guarded by mu; the counters are flusher-private writes, atomic so
 	// CommitteeStats reads them lock-free.
 	replKick       chan struct{}
-	replQuit       chan struct{}
 	replRunning    bool
 	replBatch      *wire.ReplBatch
 	replBatchesOut atomic.Uint64
@@ -338,7 +344,6 @@ type Host struct {
 	// walFileMu (taken after mu when both are needed — never the other
 	// way around); the counters are atomics read lock-free by WalStats.
 	walKick   chan struct{}
-	walQuit   chan struct{}
 	walFileMu sync.Mutex
 	walFile   *os.File
 	walBuf    []byte
@@ -473,10 +478,9 @@ func NewHost(cfg Config) (*Host, error) {
 		channels:    make(map[wire.ChannelID]*channelInfo),
 		mh:          make(map[wire.PaymentID]*mhOutcome),
 		replKick:    make(chan struct{}, 1),
-		replQuit:    make(chan struct{}),
+		quit:        make(chan struct{}),
 		replBatch:   &wire.ReplBatch{},
 		walKick:     make(chan struct{}, 1),
-		walQuit:     make(chan struct{}),
 	}
 	h.resumedChans = make(map[wire.ChannelID]bool)
 	h.ackCond = sync.NewCond(&h.ackMu)
@@ -720,8 +724,7 @@ func (h *Host) Close() {
 	}
 	h.closed = true
 	h.closing.Store(true)
-	close(h.replQuit)
-	close(h.walQuit)
+	close(h.quit)
 	ln := h.ln
 	h.ln = nil
 	peers := make([]*peer, 0, len(h.peersByAddr)+len(h.peersByID))
@@ -1293,20 +1296,21 @@ func (h *Host) handleEventLocked(ev core.Event) {
 		h.receivedTotal.Add(uint64(e.Count))
 	case core.EvMultihopArrived:
 		h.receivedTotal.Add(uint64(e.Count))
-		h.reannounceLocked()
 	case core.EvMultihopComplete:
-		o := h.mh[e.Payment]
-		if o == nil {
-			o = &mhOutcome{}
-			h.mh[e.Payment] = o
+		// A verdict nobody waits for (the caller timed out, or a stray
+		// abort named a payment we never started) is only counted.
+		// Removing the entry here is what makes a repeated verdict
+		// unable to close done twice.
+		if o := h.mh[e.Payment]; o != nil {
+			delete(h.mh, e.Payment)
+			o.ok, o.reason, o.transient = e.OK, e.Reason, e.Transient
+			close(o.done)
 		}
-		o.done, o.ok, o.reason, o.transient = true, e.OK, e.Reason, e.Transient
 		if e.OK {
 			h.mhOK.Add(1)
 		} else {
 			h.mhFailed.Add(1)
 		}
-		h.reannounceLocked()
 	case core.EvSettlementReady:
 		if e.Tx != nil {
 			h.submitSettlementLocked(e.Tx, e.Needs)
@@ -1464,13 +1468,18 @@ func (h *Host) await(timeout time.Duration, what string, pred func() bool) error
 			return nil
 		}
 		if time.Now().After(deadline) {
-			if h.shedding.Load() {
-				return overloadErrorf(h.retryHint(), "%s: gave up waiting for %s", h.cfg.Name, what)
-			}
-			return fmt.Errorf("%w: %s: waiting for %s", ErrTimeout, h.cfg.Name, what)
+			return h.timeoutErr(what)
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// timeoutErr is the error of a cold wait that ran out of time.
+func (h *Host) timeoutErr(what string) error {
+	if h.shedding.Load() {
+		return overloadErrorf(h.retryHint(), "%s: gave up waiting for %s", h.cfg.Name, what)
+	}
+	return fmt.Errorf("%w: %s: waiting for %s", ErrTimeout, h.cfg.Name, what)
 }
 
 // clampDeadline caps a caller timeout by a configured per-op deadline

@@ -127,7 +127,7 @@ func (h *Host) replFlusher() {
 		case <-h.replKick:
 		case <-ticker.C:
 			h.replWatch(&wd)
-		case <-h.replQuit:
+		case <-h.quit:
 			return
 		}
 		batchOps = h.replFlush(batchOps)

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"teechain/internal/chain"
@@ -68,8 +69,9 @@ func (h *Host) FindRoute(dst cryptoutil.PublicKey, amount chain.Amount) (route.R
 	return h.routes.Graph().FindRoute(h.enclave.Identity(), dst, amount, 0)
 }
 
-// routedPathFanout is how many alternative paths each PayRouted round
-// computes; a Transient abort on one falls through to the next.
+// routedPathFanout is how many alternative paths PayRouted computes
+// once its cheapest route has collided; a Transient abort on one falls
+// through to the next.
 const routedPathFanout = 3
 
 // routedBackoffCap bounds the jittered backoff between PayRouted
@@ -83,34 +85,43 @@ const routedPathFanout = 3
 const routedBackoffCap = 500 * time.Millisecond
 
 // PayRouted pays amount to the node with identity dst without an
-// explicit path: the pathfinder picks the cheapest routes from the
+// explicit path: the pathfinder picks the cheapest route from the
 // gossip graph, and benign collisions — a hop busy with a crossing
 // payment, capacity that moved since it was announced, a fee raised
-// since — fall through to the next-cheapest route. When every route in
-// a round collides, PayRouted re-resolves against the (by then fresher)
-// graph and tries again after a randomized backoff, until the deadline:
-// under concurrent load the jitter decorrelates senders contending for
-// the same channels, which retrying in lockstep never untangles. Every
-// route — adjacent targets included — runs through the atomic multihop
-// stages, never the optimistic payment lane: a lane payment racing a
-// crossing lock is nacked and reversed after Pay already returned, and
-// a route reported as paid must actually have moved the money. The
-// route actually paid is returned; its TotalFee is what the payment
-// cost beyond amount. Non-transient failures and an unroutable target
-// return the error unwrapped, so callers (the client SDK's Retrier
-// above all) can re-resolve against a fresher graph and try again.
+// since — fall through to the next-cheapest routes. Those alternatives
+// are only computed once the cheapest route has collided: most payments
+// complete on it, and Yen's k-shortest costs several single searches.
+// When every route in a round collides, PayRouted re-resolves against
+// the (by then fresher) graph and tries again after a randomized
+// backoff, until the deadline: under concurrent load the jitter
+// decorrelates senders contending for the same channels, which retrying
+// in lockstep never untangles. Every route — adjacent targets included —
+// runs through the atomic multihop stages, never the optimistic payment
+// lane: a lane payment racing a crossing lock is nacked and reversed
+// after Pay already returned, and a route reported as paid must
+// actually have moved the money. The route actually paid is returned;
+// its TotalFee is what the payment cost beyond amount. Non-transient
+// failures and an unroutable target return the error unwrapped, so
+// callers (the client SDK's Retrier above all) can re-resolve against a
+// fresher graph and try again.
 func (h *Host) PayRouted(dst cryptoutil.PublicKey, amount chain.Amount, timeout time.Duration) (route.Route, error) {
 	deadline := time.Now().Add(clampDeadline(timeout, h.cfg.ColdDeadline))
+	g, self := h.routes.Graph(), h.enclave.Identity()
 	backoff := time.Millisecond
 	var lastErr error
 	for {
-		routes, err := h.routes.Graph().FindRoutes(h.enclave.Identity(), dst, amount, routedPathFanout, 0)
+		best, err := g.FindRoute(self, dst, amount, 0)
 		if err != nil {
 			// No feasible path in the graph at all: the caller's graph
 			// subscription, not a retry here, is what fixes that.
 			return route.Route{}, err
 		}
-		for _, r := range routes {
+		routes := []route.Route{best}
+		for i := 0; i < len(routes); i++ {
+			r := routes[i]
+			if i > 0 && slices.Equal(r.Hops, best.Hops) {
+				continue // already tried
+			}
 			remaining := time.Until(deadline)
 			if remaining <= 0 {
 				return route.Route{}, timeoutOr(lastErr, h, amount)
@@ -128,6 +139,13 @@ func (h *Host) PayRouted(dst cryptoutil.PublicKey, amount chain.Amount, timeout 
 			}
 			// Transient collision: every lock was released, the next
 			// route starts clean.
+			if i == 0 {
+				alts, ferr := g.FindRoutes(self, dst, amount, routedPathFanout, 0)
+				if ferr != nil {
+					return route.Route{}, ferr
+				}
+				routes = append(routes, alts...)
+			}
 		}
 		sleep := time.Duration(rand.Int63n(int64(backoff))) + backoff/2
 		if time.Until(deadline) < sleep {
@@ -177,8 +195,9 @@ func (h *Host) handleGossipLocked(from cryptoutil.PublicKey, ann *wire.ChanAnnou
 // handleGossipSummaryLocked answers a peer's anti-entropy summary with
 // every announcement our graph holds at a fresher version.
 func (h *Host) handleGossipSummaryLocked(from cryptoutil.PublicKey, sum *wire.GossipSummary) {
-	for _, ann := range h.routes.HandleSummary(from, sum) {
-		h.sendLocked(from, &ann)
+	anns := h.routes.HandleSummary(from, sum)
+	for i := range anns {
+		h.sendLocked(from, &anns[i])
 	}
 }
 
@@ -187,8 +206,9 @@ func (h *Host) handleGossipSummaryLocked(from cryptoutil.PublicKey, sum *wire.Go
 // under the wide lock is fine.
 func (h *Host) flushGossipLocked() {
 	for _, id := range h.routes.PendingPeers() {
-		for _, ann := range h.routes.Drain(id, 0) {
-			h.sendLocked(id, &ann)
+		anns := h.routes.Drain(id, 0)
+		for i := range anns {
+			h.sendLocked(id, &anns[i])
 		}
 	}
 }
@@ -199,19 +219,22 @@ func (h *Host) flushGossipLocked() {
 // partition resyncs both graphs without replaying the flood history.
 func (h *Host) attachGossipPeerLocked(id cryptoutil.PublicKey) {
 	h.routes.AttachPeer(id)
-	for _, sum := range h.routes.Summaries() {
-		h.sendLocked(id, &sum)
+	sums := h.routes.Summaries()
+	for i := range sums {
+		h.sendLocked(id, &sums[i])
 	}
 }
 
 // reannounceLocked re-derives this node's own gossip announcements from
 // enclave channel state: one directed edge per open channel, capacity =
-// our spendable balance, plus retractions for closed ones. Announce
+// the hint of our spendable balance (route.HintCapacity: rounded down
+// to 5 significant bits), plus retractions for closed ones. Announce
 // swallows no-ops without a version bump, so calling this after every
-// balance-moving cold operation is cheap and only real changes flood.
-// Lane payments deliberately do not reannounce — per-payment gossip
-// would drown the network, and stale capacity only costs a clean
-// transient abort at pathfinding's expense.
+// cold operation is cheap and only real changes flood: a multihop
+// payment that does not move a balance across a hint bucket sends no
+// gossip at all. Lane payments deliberately do not reannounce —
+// per-payment gossip would drown the network, and stale capacity only
+// costs a clean transient abort at pathfinding's expense.
 func (h *Host) reannounceLocked() {
 	st := h.enclave.State()
 	if len(st.Channels) == 0 {
@@ -224,7 +247,7 @@ func (h *Host) reannounceLocked() {
 			continue
 		}
 		before := h.routes.Graph().Version(route.EdgeKey{Channel: id, From: self})
-		ann := h.routes.Announce(id, c.Remote, c.MyBal, fee, c.Closed)
+		ann := h.routes.Announce(id, c.Remote, route.HintCapacity(c.MyBal), fee, c.Closed)
 		if ann.Version != before {
 			h.noteRouteUpdateLocked(id)
 		}
@@ -249,7 +272,8 @@ func (h *Host) noteRouteUpdateLocked(ch wire.ChannelID) {
 // payMultihopFees is PayMultihop carrying an explicit per-hop fee
 // schedule (aligned with path, zero at both endpoints); PayRouted feeds
 // it the pathfinder's schedule. A nil schedule is the legacy fee-free
-// payment.
+// payment. The caller sleeps until handleEventLocked signals the
+// payment's verdict, the deadline passes, or the host closes.
 func (h *Host) payMultihopFees(path []cryptoutil.PublicKey, fees []chain.Amount, amount chain.Amount, timeout time.Duration) error {
 	h.mu.Lock()
 	h.seq++
@@ -260,21 +284,32 @@ func (h *Host) payMultihopFees(path []cryptoutil.PublicKey, fees []chain.Amount,
 		return err
 	}
 	h.sentTotal.Add(1)
-	h.mh[pid] = &mhOutcome{}
+	out := &mhOutcome{done: make(chan struct{})}
+	h.mh[pid] = out
 	h.dispatchLocked(res)
 	h.mu.Unlock()
 
-	var out mhOutcome
-	if err := h.await(timeout, fmt.Sprintf("multihop %s", pid), func() bool {
-		o := h.mh[pid]
-		if o == nil || !o.done {
-			return false
-		}
-		out = *o
+	deadline := time.NewTimer(clampDeadline(timeout, h.cfg.ColdDeadline))
+	defer deadline.Stop()
+	select {
+	case <-out.done:
+	case <-h.quit:
+		err = fmt.Errorf("%w while waiting for multihop %s", ErrClosed, pid)
+	case <-deadline.C:
+		err = h.timeoutErr("multihop " + string(pid))
+	}
+	if err != nil {
+		// Stop waiting: the entry goes, so abandoned payments do not
+		// pile up in Host.mh — unless the verdict won the race for
+		// the lock, in which case it stands.
+		h.mu.Lock()
 		delete(h.mh, pid)
-		return true
-	}); err != nil {
-		return err
+		h.mu.Unlock()
+		select {
+		case <-out.done:
+		default:
+			return err
+		}
 	}
 	if !out.ok {
 		return &MultihopAbortError{Reason: out.reason, Transient: out.transient}

@@ -83,11 +83,13 @@ func (c *routedCluster) awaitGraph(name string, edges int) {
 }
 
 // awaitEdge polls until viewer's graph holds an open from→to edge at
-// no less than capacity. Edge counts alone are not a capacity barrier:
+// no less than what a balance of capacity announces (its hint, see
+// route.HintCapacity). Edge counts alone are not a capacity barrier:
 // channels announce at capacity 0 when they open and re-announce after
 // funding, and the flood may deliver those versions far apart.
 func (c *routedCluster) awaitEdge(viewer, from, to string, capacity chain.Amount) {
 	c.t.Helper()
+	capacity = route.HintCapacity(capacity)
 	g := c.hosts[viewer].RouteGraph()
 	fromID, toID := c.hosts[from].Identity(), c.hosts[to].Identity()
 	deadline := time.Now().Add(testTimeout)
@@ -160,8 +162,9 @@ func TestRoutedPaymentOverTCP(t *testing.T) {
 		}
 	}
 
-	// The completed payment reannounced the moved capacities; alice's
-	// own edge must gossip back down to 790.
+	// The completed payment moved alice's 1000 to 790, across a hint
+	// bucket (992 → 768), so her edge is re-announced; the graph keeps
+	// its shape.
 	deadline := time.Now().Add(testTimeout)
 	for {
 		st := c.hosts["dave"].RouteStats()

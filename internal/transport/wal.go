@@ -276,7 +276,7 @@ func (h *Host) walFlusher() {
 				h.logf("%s: periodic snapshot: %v", h.cfg.Name, err)
 			}
 			continue
-		case <-h.walQuit:
+		case <-h.quit:
 			return
 		}
 		h.walFlush()

@@ -34,20 +34,24 @@ import (
 //	74      T     session freshness token (empty for Attest/Hello)
 //	74+T    …     message payload
 //
-// The payload is gob-encoded with a fresh encoder by default. Hot-path
-// payment messages (Pay, PayAck, PayNack, PayBatch, PayBatchAck)
-// implement BinaryMessage and travel as hand-rolled binary instead
-// (FlagBinaryPayload set): gob re-emits type descriptors on every
-// self-contained frame, which costs both bytes and allocations the
-// payment path cannot afford.
+// The payload is gob-encoded with a fresh encoder by default. Per-payment
+// messages — the lane's Pay*, the replication batches, gossip, and the
+// multi-hop stages (mhcodec.go) — implement BinaryMessage and travel as
+// hand-rolled binary instead (FlagBinaryPayload set): gob re-emits type
+// descriptors on every self-contained frame, which costs both bytes and
+// allocations a payment path cannot afford. The flag must agree with the
+// message type: gob is only accepted for types without a codec.
 //
 // The registry assigns every protocol message a stable one-byte code so
 // a receiver can reject unknown or malformed frames before decoding.
 
 // FrameVersion is the current framing protocol version. A frame with a
 // different version is rejected with ErrFrameVersion. Version 2 added
-// the flags byte and the binary payload encoding for payment messages.
-const FrameVersion = 2
+// the flags byte and the binary payload encoding for payment messages;
+// version 3 moved the multi-hop messages (Mh*) from gob to binary
+// payloads, so a version-2 peer fails at its first frame instead of
+// having every multi-hop frame dropped as malformed.
+const FrameVersion = 3
 
 // FlagBinaryPayload marks a payload encoded via BinaryMessage rather
 // than gob.
@@ -336,10 +340,10 @@ func decodeFrameInto(f *Frame, body, tokenBuf []byte, reuse []Message) error {
 	payload := rest[tlen:]
 	f.Code = code
 	f.Payload = payload
-	if flags&FlagBinaryPayload != 0 {
-		if !binaryCode[code] {
-			return fmt.Errorf("%w: code %d is not binary-encodable", ErrFrameEncoding, code)
-		}
+	if isBinary := flags&FlagBinaryPayload != 0; isBinary != binaryCode[code] {
+		return fmt.Errorf("%w: code %d with flags %#x", ErrFrameEncoding, code, flags)
+	}
+	if binaryCode[code] {
 		var msg Message
 		// The bounds check guards a FrameReader built before a later
 		// Register call (cannot happen after init, but harmless to keep).

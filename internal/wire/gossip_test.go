@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"teechain/internal/chain"
 	"teechain/internal/cryptoutil"
 )
 
@@ -121,37 +120,5 @@ func TestGossipCodecMalformed(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
 	if err := s.DecodePayload(huge); err == nil {
 		t.Fatal("GossipSummary accepted an oversized entry count")
-	}
-}
-
-// TestMhLockFeesGobCompat pins the trailing-field compatibility of
-// MhLock.Fees: a fee-free lock (empty Fees) must decode through the
-// frame layer exactly as before the field existed.
-func TestMhLockFeesGobCompat(t *testing.T) {
-	lock := &MhLock{
-		Payment: "mh-1",
-		Amount:  100,
-		Count:   1,
-		Path:    []PathHop{{Identity: gossipKey(1)}, {Identity: gossipKey(2)}, {Identity: gossipKey(3)}},
-		Channel: "ch-up",
-		Fees:    []chain.Amount{0, 7, 0},
-	}
-	frame, err := AppendFrame(nil, gossipKey(1), []byte("tok"), lock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := DecodeFrame(frame[4:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, ok := f.Msg.(*MhLock)
-	if !ok {
-		t.Fatalf("decoded %T, want *MhLock", f.Msg)
-	}
-	if !reflect.DeepEqual(got, lock) {
-		t.Fatalf("MhLock round trip: got %+v, want %+v", got, lock)
-	}
-	if got.WireSize() <= (&MhLock{Payment: lock.Payment, Amount: lock.Amount, Count: lock.Count, Path: lock.Path, Channel: lock.Channel}).WireSize() {
-		t.Fatal("MhLock.WireSize must grow with Fees")
 	}
 }

@@ -3,7 +3,8 @@
 // for the real-socket demo.
 //
 // Messages travel between enclaves either as Go values over the
-// discrete-event simulator or gob-encoded over TCP; WireSize reports the
+// discrete-event simulator or framed over TCP (frame.go: binary payloads
+// for per-payment messages, gob for the rest); WireSize reports the
 // realistic on-the-wire size either way, so bandwidth modelling does not
 // depend on the transport in use.
 package wire
@@ -285,9 +286,7 @@ type MhLock struct {
 	// Fees, when non-empty, aligns with Path: Fees[i] is the forwarding
 	// fee hop i keeps (zero at both endpoints), so hop i receives
 	// Amount plus the fees of every hop after it and forwards that
-	// minus its own fee. Empty means a fee-free payment (the legacy
-	// encoding). Trailing gob field — absent on frames from older
-	// senders.
+	// minus its own fee. Empty means a fee-free payment.
 	Fees []chain.Amount
 }
 

@@ -137,3 +137,55 @@ func TestVirtualTimeAdvances(t *testing.T) {
 		t.Fatalf("virtual time %v, want seconds of setup cost", net.Now())
 	}
 }
+
+// TestFinishedMultihopLeavesEnclaveState: a hop keeps a multi-hop
+// payment's path, fees and id only while it is in flight. After 50
+// payments over a 3-node line — every fifth too large for the second
+// channel, so it aborts at the middle hop — no enclave on the path
+// holds any of them.
+func TestFinishedMultihopLeavesEnclaveState(t *testing.T) {
+	net, err := NewNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*Node
+	for _, name := range []string{"a", "b", "c"} {
+		n, err := net.AddNode(name, SiteUK, NodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	if _, err := net.OpenChannel(nodes[0], nodes[1], 10_000, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := net.OpenChannel(nodes[1], nodes[2], 100, 0); err != nil {
+		t.Fatal(err)
+	}
+	paths := net.Paths(nodes[0], nodes[2], 1, 0)
+	var paid, aborted int
+	for i := 0; i < 50; i++ {
+		amount := Amount(1)
+		if i%5 == 4 {
+			amount = 150 // more than b ever holds toward c
+		}
+		if err := nodes[0].PayMultihop(paths, amount, 1, func(ok bool, _ time.Duration, _ string) {
+			if ok {
+				paid++
+			} else {
+				aborted++
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		net.Run()
+	}
+	if paid != 40 || aborted != 10 {
+		t.Fatalf("%d paid, %d aborted, want 40 and 10", paid, aborted)
+	}
+	for _, n := range nodes {
+		if left := len(n.Enclave().State().Multihop); left != 0 {
+			t.Fatalf("%s still holds %d finished payments", n.ID, left)
+		}
+	}
+}
