@@ -143,3 +143,78 @@ func TestMultihopCodecAllocationBudget(t *testing.T) {
 		t.Fatalf("MhLock.DecodePayload allocates %.1f times, budget is 20", avg)
 	}
 }
+
+// TestRoutedPaymentSignatureBudget pins what a multi-hop payment over a
+// 3-channel route costs the enclaves: one ECDSA signature per τ input —
+// six here, every channel funded from both ends — shared out so that no
+// hop makes more than the inputs of one channel, where both ends of
+// every channel used to sign every input (twelve, four at each relay);
+// and an allocation budget for the whole payment (735 now; the second
+// signature per input took it to 1 215).
+func TestRoutedPaymentSignatureBudget(t *testing.T) {
+	net, err := NewNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var nodes []*Node
+	for _, name := range []string{"a", "b", "c", "d"} {
+		n, err := net.AddNode(name, SiteUK, NodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, n)
+	}
+	for i := 0; i+1 < len(nodes); i++ {
+		if _, err := net.OpenChannel(nodes[i], nodes[i+1], 1_000_000, 1_000_000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := net.Paths(nodes[0], nodes[3], 1, 0)
+	if len(paths) != 1 || len(paths[0]) != 4 {
+		t.Fatalf("paths %v, want the one 3-channel route", paths)
+	}
+	paid := 0
+	done := func(ok bool, _ time.Duration, reason string) {
+		if !ok {
+			t.Fatalf("payment failed: %s", reason)
+		}
+		paid++
+	}
+	pay := func() {
+		if err := nodes[0].PayMultihop(paths, 1, 1, done); err != nil {
+			t.Fatal(err)
+		}
+		net.Run()
+	}
+	signed := func() (per [4]uint64) {
+		for i, n := range nodes {
+			per[i] = n.Enclave().TauSigned()
+		}
+		return per
+	}
+	for i := 0; i < 50; i++ {
+		pay()
+	}
+	before := signed()
+	const runs = 200
+	avg := testing.AllocsPerRun(runs, pay)
+	after := signed()
+	if paid != 50+runs+1 { // AllocsPerRun warms up with one extra call
+		t.Fatalf("%d payments completed, want %d", paid, 50+runs+1)
+	}
+	var total uint64
+	for i := range nodes {
+		perPayment := (after[i] - before[i]) / (runs + 1)
+		if (after[i]-before[i])%(runs+1) != 0 || perPayment > 2 {
+			t.Fatalf("hop %d made %d signatures over %d payments, want the same count, at most 2, on each", i, after[i]-before[i], runs+1)
+		}
+		total += perPayment
+	}
+	if total != 6 {
+		t.Fatalf("%d signatures per payment over six 1-of-1 inputs, want 6", total)
+	}
+	if avg > 850 {
+		t.Fatalf("a 3-channel multihop payment allocates %.0f times, budget is 850", avg)
+	}
+	t.Logf("%.0f allocations, %d signatures per payment", avg, total)
+}

@@ -7,9 +7,11 @@
 //
 // The protocol rides the same self-contained frame layer as the
 // enclave protocol (internal/wire, frame v2): every api message is
-// registered in the wire type registry at init, hot messages
-// (PayReq/PayBatchReq/PayResp/Event) implement wire.BinaryMessage and
-// travel as hand-rolled binary payloads, and everything else is gob.
+// registered in the wire type registry at init, per-payment messages
+// (PayReq/PayBatchReq/PayResp/Event and the routing pair
+// RouteReq/RouteResp, RoutedPayReq/RoutedPayResp) implement
+// wire.BinaryMessage and travel as hand-rolled binary payloads (see
+// binary.go), and everything else is gob.
 // Control frames carry a zero sender identity and no session token —
 // the control plane is host-to-operator, not enclave-to-enclave.
 //
@@ -51,8 +53,11 @@ import (
 // response field (a PayResp wire-layout change, hence the bump), and
 // the overload/replication-stall event kinds. v4 added payment routing:
 // Route/RoutedPay requests, the route-update event kind, and the
-// routing block in StatsResp.
-const Version = 4
+// routing block in StatsResp. v5 moved those four routing messages from
+// gob to binary payloads (a wire-layout change: the frame layer refuses
+// a gob payload for a type that has a codec, so a v4 peer is turned
+// away at hello instead of failing at its first routed payment).
+const Version = 5
 
 // MaxPayCount bounds PayReq.Count: a single request may issue at most
 // this many payments. The bound keeps a hostile (or fuzzed) count from
@@ -386,7 +391,8 @@ type MultihopResp struct {
 // WireSize implements wire.Message.
 func (m *MultihopResp) WireSize() int { return apiHdr + 8 }
 
-// --- Routing (protocol v4) ---
+// --- Routing (protocol v4; wire.BinaryMessage codecs since v5, see
+// binary.go) ---
 
 // RouteInfo describes one payment path: the full hop list (sender
 // first, target last), the per-hop forwarding fee schedule (aligned

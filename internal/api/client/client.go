@@ -306,7 +306,10 @@ func (c *Conn) readLoop() {
 			c.deliver(&cp)
 		default:
 			if resp, ok := f.Msg.(api.Response); ok {
-				c.deliver(resp) // gob responses are freshly allocated
+				// The waiter outlives this frame: a binary response
+				// leaves the reader with it (gob ones are fresh anyway).
+				fr.Keep(f)
+				c.deliver(resp)
 			}
 		}
 	}

@@ -1,20 +1,25 @@
 package client
 
 import (
+	"fmt"
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"teechain/internal/api"
 	"teechain/internal/chain"
+	"teechain/internal/cryptoutil"
 	"teechain/internal/wire"
 )
 
 // stubBackend implements api.Backend with no-op answers; tests override
-// the multihop behavior via the mh callback.
+// the multihop behavior via the mh callback, or the routed-payment
+// answer via routed.
 type stubBackend struct {
-	mh func() error
+	mh     func() error
+	routed func(target string, amount chain.Amount) (api.RouteInfo, error)
 }
 
 func (s *stubBackend) Info() api.NodeInfo    { return api.NodeInfo{Name: "stub"} }
@@ -42,7 +47,10 @@ func (s *stubBackend) Multihop(amount chain.Amount, hops []string, timeout time.
 func (s *stubBackend) Route(string, chain.Amount) (api.RouteInfo, error) {
 	return api.RouteInfo{}, nil
 }
-func (s *stubBackend) PayRouted(string, chain.Amount, time.Duration) (api.RouteInfo, error) {
+func (s *stubBackend) PayRouted(target string, amount chain.Amount, _ time.Duration) (api.RouteInfo, error) {
+	if s.routed != nil {
+		return s.routed(target, amount)
+	}
 	return api.RouteInfo{}, s.mh()
 }
 func (s *stubBackend) FormCommittee([]string, int, time.Duration) (string, error) {
@@ -138,4 +146,54 @@ func TestMultihopPermanentNackFailsFast(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Fatalf("backend saw %d attempts, want 1", got)
 	}
+}
+
+// TestConcurrentRoutedPaymentsKeepTheirOwnAnswers: routed requests and
+// responses are binary messages that both read loops decode into one
+// reused struct per connection, then hand to a goroutine. Sixteen
+// callers share one connection; the backend answers each request with
+// a route that encodes its target and amount, after yielding so that
+// later frames are decoded while earlier ones are still being served.
+// Every caller must get the answer to its own request (run under
+// -race: a hand-off without a copy is a data race as well).
+func TestConcurrentRoutedPaymentsKeepTheirOwnAnswers(t *testing.T) {
+	b := &stubBackend{routed: func(target string, amount chain.Amount) (api.RouteInfo, error) {
+		time.Sleep(time.Duration(amount%3) * 100 * time.Microsecond)
+		if amount%7 == 0 {
+			return api.RouteInfo{}, &api.Error{Code: api.CodeNotFound, Msg: "no route to " + target}
+		}
+		var hop cryptoutil.PublicKey
+		copy(hop[:], target)
+		return api.RouteInfo{
+			Hops:   []cryptoutil.PublicKey{{}, hop},
+			Fees:   []chain.Amount{0, amount, 0}[:2],
+			Amount: amount,
+			Send:   2 * amount,
+		}, nil
+	}}
+	c := dialStub(t, b)
+	var wg sync.WaitGroup
+	for caller := 0; caller < 16; caller++ {
+		wg.Add(1)
+		go func(caller int) {
+			defer wg.Done()
+			for i := 1; i <= 50; i++ {
+				target := fmt.Sprintf("node-%02d-%03d", caller, i)
+				amount := chain.Amount(caller*1000 + i)
+				r, err := c.PayRouted(target, amount)
+				if amount%7 == 0 {
+					if ae, ok := err.(*api.Error); !ok || ae.Code != api.CodeNotFound || ae.Msg != "no route to "+target {
+						t.Errorf("%s: error %v, want its own not-found", target, err)
+					}
+					continue
+				}
+				var hop cryptoutil.PublicKey
+				copy(hop[:], target)
+				if err != nil || len(r.Hops) != 2 || r.Hops[1] != hop || r.Amount != amount || r.Send != 2*amount || len(r.Fees) != 2 || r.Fees[1] != amount {
+					t.Errorf("%s/%d: got route %+v, %v", target, amount, r, err)
+				}
+			}
+		}(caller)
+	}
+	wg.Wait()
 }

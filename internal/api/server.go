@@ -261,7 +261,10 @@ func (c *serverConn) readLoop() {
 			c.send(resp)
 		default:
 			// Cold request: its own goroutine, so slow operations
-			// (attest, deposit, committee) never stall the connection.
+			// (attest, deposit, committee, a routed payment) never stall
+			// the connection. It outlives this frame, so a binary request
+			// leaves the reader with it (gob ones are fresh anyway).
+			fr.Keep(f)
 			c.wg.Add(1)
 			go func(req Request) {
 				defer c.wg.Done()

@@ -315,3 +315,62 @@ func TestCorruptedReplBatchAckRecovers(t *testing.T) {
 	st, _ := alice.CommitteeStats()
 	t.Logf("committee recovered: flush=%d ack=%d batches=%d ops=%d", st.FlushSeq, st.AckSeq, st.BatchesOut, st.OpsOut)
 }
+
+// TestForgedVolleyAllReadBeforeReset: an injector writes a volley of
+// forged frames with a second hello early in it, never reads, and
+// hangs up — which resets the connection, the victim's own hello being
+// unread. The second hello makes the victim answer (a gossip summary)
+// when the reset has long arrived, so its writer's write fails while
+// its reader has most of the volley still to read. Every frame TCP
+// delivered must still be read and rejected: the connection is the
+// read loop's to close. (The writer used to close it on the failed
+// write, discarding whatever the reader had not reached — which is how
+// TestForgedFramesRejected lost its second frame about one run in ten
+// on a loaded machine.)
+func TestForgedVolleyAllReadBeforeReset(t *testing.T) {
+	auth, err := tee.NewAuthority("attack-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := transport.NewHost(transport.Config{Name: "bob", Authority: auth, Chain: transport.NewLocalChain(chain.New())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(bob.Close)
+	bobAddr, err := bob.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mallory, err := ForgeIdentity("mallory")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One write of under 64 KB, so that all of the volley is on the wire
+	// before the reset: a reset also discards what the injector's own
+	// kernel had not sent yet, and hundreds of small writes outrun the
+	// initial congestion window, a larger one the initial receive window.
+	const before, after = 50, 350
+	var volley []byte
+	for i := 0; i < before+after; i++ {
+		if i == before {
+			hello, err := ForgeFrame(mallory.Public(), nil, &wire.Hello{Name: "mallory"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			volley = append(volley, hello...)
+		}
+		f, err := ForgeFrame(mallory.Public(), []byte("not-a-real-session-token-at-all"), &wire.Pay{Channel: "ch", Amount: 500, Count: i + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		volley = append(volley, f...)
+	}
+	rep, err := Inject(bobAddr, mallory.Public(), "mallory", [][]byte{volley})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.FramesSent != 1 {
+		t.Fatalf("injector could not write its volley (peer closed: %v)", rep.PeerClosed)
+	}
+	waitFor(t, "every forged frame rejected", func() bool { return bob.Stats().FramesRejected >= before+after })
+}

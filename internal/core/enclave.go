@@ -184,6 +184,9 @@ type Enclave struct {
 
 	counterName string
 	keySeq      uint64
+
+	// tauSigned counts the τ input signatures signTauLocal has made.
+	tauSigned uint64
 }
 
 // SetFeePolicy installs the forwarding fee policy. Call it before the
@@ -198,6 +201,11 @@ func (e *Enclave) SetFeePolicy(p route.FeePolicy) error {
 
 // FeePolicy returns the forwarding fee policy this enclave enforces.
 func (e *Enclave) FeePolicy() route.FeePolicy { return e.feePolicy }
+
+// TauSigned reports how many τ input signatures this enclave has made
+// in multi-hop sign stages: one ECDSA each, the dominant enclave cost
+// of a routed payment. Read it under whatever serializes the enclave.
+func (e *Enclave) TauSigned() uint64 { return e.tauSigned }
 
 // NewEnclave launches the Teechain program on a platform.
 func NewEnclave(platform *tee.Platform, authority cryptoutil.PublicKey, cfg Config) (*Enclave, error) {

@@ -220,26 +220,41 @@ func tauPays(tau *chain.Transaction, key cryptoutil.PublicKey, value chain.Amoun
 	return false
 }
 
-// signTauLocal signs every τ input whose deposit key this enclave
-// holds (its own deposits and counterparty-shared 1-of-1 keys).
+// signTauLocal fills every still-empty signature slot of τ whose
+// deposit key this enclave holds (its own deposits and
+// counterparty-shared 1-of-1 keys). Both ends of a channel hold a
+// 1-of-1 deposit's key, and the sign stage reaches them one after the
+// other with the same final τ: the first fills the slot and the second
+// leaves it, where signing again would only replace one valid signature
+// by another. Slots are written by attested enclaves alone (τ travels
+// under session tokens), nothing on the payment path reads a signature
+// before the stage completes, and the chain verifies every input when τ
+// is ever submitted.
 func (e *Enclave) signTauLocal(tau *chain.Transaction, channels ...*ChannelState) error {
 	for _, c := range channels {
 		if c == nil {
 			continue
 		}
 		for i := range tau.Inputs {
+			in := &tau.Inputs[i]
 			for _, deps := range [2][]wire.DepositInfo{c.MyDeps, c.RemoteDeps} {
 				for j := range deps {
 					d := &deps[j]
-					if d.Point != tau.Inputs[i].Prev {
+					if d.Point != in.Prev {
 						continue
 					}
-					for _, k := range d.Script.Keys {
-						if kp, ok := e.btcKeys[k.Address()]; ok {
-							if err := tau.SignInput(i, d.Script, kp); err != nil {
-								return err
-							}
+					for slot, k := range d.Script.Keys {
+						kp, ok := e.btcKeys[k.Address()]
+						if !ok {
+							continue
 						}
+						if len(in.Sigs) == len(d.Script.Keys) && !in.Sigs[slot].IsZero() {
+							continue
+						}
+						if err := tau.SignInput(i, d.Script, kp); err != nil {
+							return err
+						}
+						e.tauSigned++
 					}
 				}
 			}

@@ -68,6 +68,10 @@ type Edge struct {
 type Graph struct {
 	mu    sync.RWMutex
 	edges map[EdgeKey]*Edge
+	// snap is the pathfinder's view of edges, built by snapshot on the
+	// first query after a change and shared, read-only, by every query
+	// until Apply changes an edge again (nil = stale).
+	snap map[cryptoutil.PublicKey][]Edge
 }
 
 // NewGraph returns an empty graph.
@@ -100,6 +104,7 @@ func (g *Graph) Apply(ann *wire.ChanAnnounce) bool {
 		Version:  ann.Version,
 		Closed:   ann.Closed,
 	}
+	g.snap = nil
 	return true
 }
 
@@ -209,20 +214,31 @@ func announceEdge(e *Edge) wire.ChanAnnounce {
 	}
 }
 
-// snapshot copies the open edges for a pathfinder query, indexed by
-// head node (the backward Dijkstra relaxes reversed edges). The copy
-// is deterministic: in-edge lists are sorted by (tail, channel), so
-// path choice never depends on map iteration order.
+// snapshot returns the open edges for pathfinder queries, indexed by
+// head node (the backward Dijkstra relaxes reversed edges). It is built
+// once per graph change — announcements are rare next to route queries
+// — and callers must not modify it. The index is deterministic: in-edge
+// lists are sorted by (tail, channel), so path choice never depends on
+// map iteration order.
 func (g *Graph) snapshot() map[cryptoutil.PublicKey][]Edge {
 	g.mu.RLock()
-	in := make(map[cryptoutil.PublicKey][]Edge)
+	in := g.snap
+	g.mu.RUnlock()
+	if in != nil {
+		return in
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.snap != nil {
+		return g.snap
+	}
+	in = make(map[cryptoutil.PublicKey][]Edge)
 	for _, e := range g.edges {
 		if e.Closed {
 			continue
 		}
 		in[e.To] = append(in[e.To], *e)
 	}
-	g.mu.RUnlock()
 	for _, edges := range in {
 		sort.Slice(edges, func(i, j int) bool {
 			if c := bytes.Compare(edges[i].From[:], edges[j].From[:]); c != 0 {
@@ -231,5 +247,6 @@ func (g *Graph) snapshot() map[cryptoutil.PublicKey][]Edge {
 			return edges[i].Channel < edges[j].Channel
 		})
 	}
+	g.snap = in
 	return in
 }

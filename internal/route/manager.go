@@ -20,20 +20,41 @@ const MaxPeerQueue = 4096
 // keeps: exact below 32 and at powers of two, else less than 1/16 low.
 const hintBits = 5
 
+// hintBand is how far a balance may outgrow its announced hint before
+// the hint is replaced: an announced A stands while A ≤ balance <
+// hintBand·A.
+const hintBand = 2
+
 // HintCapacity is the capacity a node announces for a channel holding
-// balance: balance rounded DOWN to hintBits significant bits. The graph
-// is a hint — the enclave is the arbiter of what a channel can pay — so
-// a payment that keeps the balance inside its bucket leaves the edge as
-// announced, Announce swallows it, and no gossip is sent. Rounding down
-// means a route the pathfinder accepts is never refused for a balance
-// the hint overstated; the price is that the top < 1/16 of a balance is
-// not offered to the pathfinder in one payment.
+// balance when no standing hint covers it: balance rounded DOWN to
+// hintBits significant bits. The graph is a hint — the enclave is the
+// arbiter of what a channel can pay — and rounding down means a route
+// the pathfinder accepts is never refused for a balance the hint
+// overstated.
 func HintCapacity(balance chain.Amount) chain.Amount {
 	if balance < 1<<hintBits {
 		return balance
 	}
 	drop := bits.Len64(uint64(balance)) - hintBits
 	return balance >> drop << drop
+}
+
+// StandingHint is the capacity to announce for a channel holding
+// balance whose last announcement said announced: a hint stands while
+// it is right — announced ≤ balance < hintBand·announced — and is
+// replaced by HintCapacity(balance) outside that band. The hint never
+// overstates and understates by less than half. A falling balance
+// leaves the band at its bottom edge and re-announces once per
+// HintCapacity bucket, as if there were no band; a rising one
+// re-announces only when it has doubled, so a balance hovering around a
+// value — the steady state of an edge that forwards both ways — sends
+// nothing, where exact buckets would flood the network on almost every
+// payment.
+func StandingHint(announced, balance chain.Amount) chain.Amount {
+	if announced > 0 && announced <= balance && balance/hintBand < announced {
+		return announced
+	}
+	return HintCapacity(balance)
 }
 
 // Manager is a node's gossip engine: it owns the network graph, floods
@@ -76,9 +97,6 @@ func NewManager(self cryptoutil.PublicKey) *Manager {
 // Graph exposes the managed network graph (shared, concurrency-safe).
 func (m *Manager) Graph() *Graph { return m.graph }
 
-// Self returns the identity announcements originate from.
-func (m *Manager) Self() cryptoutil.PublicKey { return m.self }
-
 // AttachPeer registers a peer connection as a flood target. Idempotent;
 // an existing queue survives reconnects (anti-entropy covers whatever
 // the dead connection lost).
@@ -99,8 +117,9 @@ func (m *Manager) DetachPeer(id cryptoutil.PublicKey) {
 
 // Handle folds a received announcement into the graph and, when it was
 // fresh, queues it for re-broadcast to every attached peer except the
-// one it arrived from. It reports whether the graph changed; stale
-// duplicates are counted and go no further — the flood-storm guard.
+// one it arrived from. It reports whether the graph changed — and so
+// whether peer queues hold anything to drain; stale duplicates are
+// counted and go no further — the flood-storm guard.
 func (m *Manager) Handle(from cryptoutil.PublicKey, ann *wire.ChanAnnounce) bool {
 	if !m.graph.Apply(ann) {
 		m.mu.Lock()
@@ -113,16 +132,20 @@ func (m *Manager) Handle(from cryptoutil.PublicKey, ann *wire.ChanAnnounce) bool
 }
 
 // Announce versions and floods one of the node's own directed edges,
-// applying it to the local graph first. A no-op announcement (the graph
-// already holds this exact edge from us) is swallowed without a version
-// bump, so hosts can re-announce whole channel sets after every cold
-// operation and only real changes hit the wire: with capacity passed
-// through HintCapacity, a multihop payment usually changes nothing. It
-// returns the announcement so callers can log or count it.
-func (m *Manager) Announce(channel wire.ChannelID, to cryptoutil.PublicKey, capacity chain.Amount, fee FeePolicy, closed bool) wire.ChanAnnounce {
-	if e, ok := m.graph.Edge(EdgeKey{Channel: channel, From: m.self}); ok &&
-		e.To == to && e.Capacity == capacity && e.Fee == fee && e.Closed == closed {
-		return announceEdge(&e)
+// applying it to the local graph first. The announced capacity is the
+// StandingHint of balance against what the graph already holds from
+// us. A no-op announcement (the hint stands and nothing else about the
+// edge moved) is swallowed without a version bump, so hosts can
+// re-announce whole channel sets after every cold operation and only
+// real changes hit the wire. It returns the edge as now announced and
+// whether that was a fresh announcement, queued for every peer.
+func (m *Manager) Announce(channel wire.ChannelID, to cryptoutil.PublicKey, balance chain.Amount, fee FeePolicy, closed bool) (wire.ChanAnnounce, bool) {
+	capacity := HintCapacity(balance)
+	if e, ok := m.graph.Edge(EdgeKey{Channel: channel, From: m.self}); ok {
+		capacity = StandingHint(e.Capacity, balance)
+		if e.To == to && e.Capacity == capacity && e.Fee == fee && e.Closed == closed {
+			return announceEdge(&e), false
+		}
 	}
 	m.mu.Lock()
 	m.version[channel]++
@@ -140,7 +163,7 @@ func (m *Manager) Announce(channel wire.ChannelID, to cryptoutil.PublicKey, capa
 	}
 	m.graph.Apply(&ann)
 	m.enqueue(ann, m.self)
-	return ann
+	return ann, true
 }
 
 // enqueue queues ann for every attached peer except skip, coalescing

@@ -2,6 +2,7 @@ package route
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -381,25 +382,35 @@ func TestManagerAnnounceAndSummaries(t *testing.T) {
 	self, peer := nodeKey(1), nodeKey(2)
 	m := NewManager(self)
 	m.AttachPeer(peer)
-	a1 := m.Announce("ch-1", peer, 100, FeePolicy{Base: 2}, false)
-	a2 := m.Announce("ch-1", peer, 90, FeePolicy{Base: 2}, false)
-	if a1.Version != 1 || a2.Version != 2 {
-		t.Fatalf("versions %d, %d", a1.Version, a2.Version)
+	a1, fresh1 := m.Announce("ch-1", peer, 96, FeePolicy{Base: 2}, false)
+	a2, fresh2 := m.Announce("ch-1", peer, 80, FeePolicy{Base: 2}, false)
+	if a1.Version != 1 || a2.Version != 2 || !fresh1 || !fresh2 {
+		t.Fatalf("versions %d (fresh %v), %d (fresh %v)", a1.Version, fresh1, a2.Version, fresh2)
 	}
-	if e, _ := m.Graph().Edge(EdgeKey{Channel: "ch-1", From: self}); e.Capacity != 90 {
+	// A balance the standing hint still covers is not an announcement.
+	if a3, fresh := m.Announce("ch-1", peer, 150, FeePolicy{Base: 2}, false); fresh || a3 != a2 {
+		t.Fatalf("balance 150 under hint 80: fresh %v, %+v", fresh, a3)
+	}
+	if e, _ := m.Graph().Edge(EdgeKey{Channel: "ch-1", From: self}); e.Capacity != 80 {
 		t.Fatalf("local graph not updated: %+v", e)
 	}
 	got := m.Drain(peer, 0)
-	if len(got) != 1 || got[0].Capacity != 90 {
+	if len(got) != 1 || got[0].Capacity != 80 {
 		t.Fatalf("flood did not coalesce local announcements: %+v", got)
 	}
+	// The hint stands, but a fee change is still news.
+	if a4, fresh := m.Announce("ch-1", peer, 150, FeePolicy{Base: 3}, false); !fresh || a4.Version != 3 || a4.Capacity != 80 {
+		t.Fatalf("fee change under a standing hint: fresh %v, %+v", fresh, a4)
+	}
+	m.Drain(peer, 0)
+	a2.Version, a2.FeeBase = 3, 3
 	sums := m.Summaries()
 	if len(sums) != 1 || len(sums[0].Entries) != 1 {
 		t.Fatalf("summaries: %+v", sums)
 	}
 	// A peer with an empty graph gets everything back.
 	fresher := m.HandleSummary(peer, &wire.GossipSummary{})
-	if len(fresher) != 1 || fresher[0].Version != 2 {
+	if len(fresher) != 1 || fresher[0] != a2 {
 		t.Fatalf("HandleSummary: %+v", fresher)
 	}
 }
@@ -442,5 +453,147 @@ func TestHintCapacity(t *testing.T) {
 		if got := HintCapacity(c.in); got != c.want {
 			t.Fatalf("HintCapacity(%d) = %d, want %d", c.in, got, c.want)
 		}
+	}
+}
+
+// TestStandingHint pins the band rule: the announced hint never exceeds
+// the balance and the balance never reaches twice a non-zero hint; a
+// monotone climb announces once per doubling; a falling balance
+// announces exactly when exact buckets would; and a balance that hovers
+// announces a fraction as often as exact buckets do on the same walk.
+func TestStandingHint(t *testing.T) {
+	// announce replays a balance sequence against both rules and counts
+	// the announcements each makes, checking the bound at every step.
+	type counts struct{ band, exact int }
+	announce := func(balances func(yield func(chain.Amount))) counts {
+		var n counts
+		band, exact := chain.Amount(-1), chain.Amount(-1) // nothing announced yet
+		balances(func(b chain.Amount) {
+			next := HintCapacity(b)
+			if band >= 0 {
+				next = StandingHint(band, b)
+			}
+			if next != band {
+				band = next
+				n.band++
+			}
+			if h := HintCapacity(b); h != exact {
+				exact = h
+				n.exact++
+			}
+			if band > b {
+				t.Fatalf("balance %d announced as %d: the hint overstates", b, band)
+			}
+			if band > 0 && b >= 2*band {
+				t.Fatalf("balance %d announced as %d: understated by half or more", b, band)
+			}
+			if band == 0 && b != 0 {
+				t.Fatalf("balance %d announced as empty", b)
+			}
+		})
+		return n
+	}
+
+	climb := announce(func(yield func(chain.Amount)) {
+		for b := chain.Amount(1); b <= 1<<40; b += 1 + b/1000 {
+			yield(b)
+		}
+		yield(1 << 40)
+	})
+	if climb.band > 41 {
+		t.Fatalf("climb from 1 to 2^40 made %d announcements, want at most 41", climb.band)
+	}
+	if climb.exact < 10*climb.band {
+		t.Fatalf("exact buckets announced %d times on the climb, the band %d: the test no longer shows the saving", climb.exact, climb.band)
+	}
+
+	fall := announce(func(yield func(chain.Amount)) {
+		for b := chain.Amount(1 << 20); b >= 0; b -= 1 + b/1000 {
+			yield(b)
+		}
+	})
+	if fall.band != fall.exact {
+		t.Fatalf("falling balance: band announced %d times, exact buckets %d — falling edges must behave as before", fall.band, fall.exact)
+	}
+
+	// ±5 walks of 10 000 steps from 100, floored at 0. While the balance
+	// stays above a few steps' worth the band announces at most a tenth
+	// as often as exact buckets; a walk that hugs the floor, where one
+	// step is a large part of the balance and any honest hint must move,
+	// still announces at most a quarter as often.
+	tenths := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		low := false
+		walk := announce(func(yield func(chain.Amount)) {
+			b := chain.Amount(100)
+			for i := 0; i < 10_000; i++ {
+				b += chain.Amount(rng.Intn(11) - 5)
+				if b < 0 {
+					b = 0
+				}
+				low = low || b < 1<<hintBits
+				yield(b)
+			}
+		})
+		if walk.band*4 > walk.exact {
+			t.Fatalf("walk %d: band announced %d times, exact buckets %d, want at most a quarter", seed, walk.band, walk.exact)
+		}
+		if !low {
+			tenths++
+			if walk.band*10 > walk.exact {
+				t.Fatalf("walk %d: band announced %d times, exact buckets %d, want at most a tenth", seed, walk.band, walk.exact)
+			}
+		}
+	}
+	if tenths == 0 {
+		t.Fatal("no walk stayed off the floor: the tenth bound was never checked")
+	}
+
+	// Overflow: the band test must not wrap near the top of the range.
+	top := chain.Amount(1<<63 - 1)
+	if h := StandingHint(1<<62, top); h != 1<<62 {
+		t.Fatalf("StandingHint(2^62, max) = %d", h)
+	}
+	if h := StandingHint(1<<61, top); h != HintCapacity(top) {
+		t.Fatalf("StandingHint(2^61, max) = %d", h)
+	}
+}
+
+// TestSnapshotInvalidation: FindRoute answers from a snapshot that
+// survives between queries and is rebuilt only after Apply changed an
+// edge — a stale announcement leaves it alone.
+func TestSnapshotInvalidation(t *testing.T) {
+	g := NewGraph()
+	a, b, c := nodeKey(1), nodeKey(2), nodeKey(3)
+	addEdge(g, "ab", a, b, 100, 100, FeePolicy{}, FeePolicy{})
+	addEdge(g, "bc", b, c, 100, 100, FeePolicy{}, FeePolicy{})
+	first := g.snapshot()
+	if _, err := g.FindRoute(a, c, 50, 0); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.ValueOf(g.snapshot()).Pointer() != reflect.ValueOf(first).Pointer() {
+		t.Fatal("snapshot rebuilt with no change to the graph")
+	}
+	stale := wire.ChanAnnounce{Channel: "bc", From: b, To: c, Capacity: 1, Version: 1}
+	if g.Apply(&stale) || reflect.ValueOf(g.snapshot()).Pointer() != reflect.ValueOf(first).Pointer() {
+		t.Fatal("a stale announcement invalidated the snapshot")
+	}
+	fresh := stale
+	fresh.Version = 2
+	if !g.Apply(&fresh) {
+		t.Fatal("fresh announcement rejected")
+	}
+	if _, err := g.FindRoute(a, c, 50, 0); err != ErrNoRoute {
+		t.Fatalf("route over a drained edge: %v — the pathfinder answered from a stale snapshot", err)
+	}
+	if len(first[c]) != 1 || first[c][0].Capacity != 100 {
+		t.Fatalf("a snapshot handed out earlier was modified: %+v", first[c])
+	}
+	closed := fresh
+	closed.Version, closed.Closed = 3, true
+	g.Apply(&closed)
+	if in := g.snapshot(); len(in[c]) != 0 {
+		t.Fatalf("closed edge still in the snapshot: %+v", in[c])
 	}
 }

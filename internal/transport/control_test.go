@@ -259,11 +259,17 @@ func TestTypedHelloGate(t *testing.T) {
 		return resp
 	}
 
-	resp := roundTrip(&api.HelloReq{Version: 99})
-	if code, _ := resp.Status(); code != api.CodeVersion {
-		t.Fatalf("mismatched hello: %v", code)
+	// 99 is a version from the future; Version-1 is the previous
+	// release, whose routing messages were gob where this one's are
+	// binary — it must be turned away here, not at its first routed
+	// payment.
+	for _, v := range []uint16{99, api.Version - 1} {
+		resp := roundTrip(&api.HelloReq{Version: v})
+		if code, _ := resp.Status(); code != api.CodeVersion {
+			t.Fatalf("hello with version %d: %v", v, code)
+		}
 	}
-	resp = roundTrip(&api.StatsReq{})
+	resp := roundTrip(&api.StatsReq{})
 	if code, _ := resp.Status(); code != api.CodeBadRequest {
 		t.Fatalf("request before hello: %v", code)
 	}

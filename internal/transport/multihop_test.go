@@ -2,7 +2,8 @@ package transport
 
 import (
 	"errors"
-	"reflect"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,9 +131,10 @@ func (c *routedCluster) framesOut() (n uint64) {
 	return n
 }
 
-// awaitHints waits until every graph holds, for every open channel
-// side, the hint of that side's current balance: gossip has caught up
-// with the enclaves.
+// awaitHints waits until gossip has caught up with the enclaves: for
+// every open channel side, the owner's announced hint is right for the
+// side's balance (route.StandingHint keeps it), and every other graph
+// holds the owner's announcement.
 func (c *routedCluster) awaitHints() {
 	c.t.Helper()
 	deadline := time.Now().Add(testTimeout)
@@ -141,9 +143,13 @@ func (c *routedCluster) awaitHints() {
 		for owner, h := range c.hosts {
 			h.WithEnclave(func(e *core.Enclave) {
 				for id, ch := range e.State().Channels {
+					key := route.EdgeKey{Channel: id, From: h.Identity()}
+					own, ok := h.RouteGraph().Edge(key)
+					if !ok || route.StandingHint(own.Capacity, ch.MyBal) != own.Capacity {
+						behind = owner + " on its own side of " + string(id)
+					}
 					for viewer, v := range c.hosts {
-						edge, ok := v.RouteGraph().Edge(route.EdgeKey{Channel: id, From: h.Identity()})
-						if !ok || edge.Capacity != route.HintCapacity(ch.MyBal) {
+						if edge, _ := v.RouteGraph().Edge(key); edge != own {
 							behind = viewer + " on " + owner + "'s side of " + string(id)
 						}
 					}
@@ -160,22 +166,24 @@ func (c *routedCluster) awaitHints() {
 	}
 }
 
-// TestRoutedPaymentsGossipOnlyOnBucketCrossings: announced capacity is
-// a hint (route.HintCapacity), so routed payments that keep every
-// balance inside its bucket send the six stage frames per hop and
-// nothing else, and a payment that carries balances across a bucket
-// boundary re-announces exactly the edges it moved, once.
-func TestRoutedPaymentsGossipOnlyOnBucketCrossings(t *testing.T) {
+// mhStageFrames is what one multihop payment costs on the wire per
+// channel it crosses: lock, sign, preUpdate, update, postUpdate,
+// release.
+const mhStageFrames = 6
+
+// TestRoutedPaymentsGossipOnlyWhenHintIsWrong: an announced capacity
+// stands while it is right (route.StandingHint), so routed payments
+// that leave every balance at or above its hint and below twice it
+// send the six stage frames per hop and nothing else; a balance that
+// doubles, or falls below its hint, re-announces exactly that edge,
+// once.
+func TestRoutedPaymentsGossipOnlyWhenHintIsWrong(t *testing.T) {
 	c := newRoutedCluster(t, map[string]Config{"alice": {}, "bob": {}, "carol": {}})
 	c.channel("alice", "bob", 1<<20)
 	c.channel("bob", "carol", 1<<20)
 	alice, bob, carol := c.hosts["alice"], c.hosts["bob"], c.hosts["carol"]
 	c.awaitEdge("alice", "bob", "carol", 1<<20)
 
-	// A fresh deposit sits exactly on a bucket floor and an empty side
-	// below 32, where the hint is exact; move both sides of both
-	// channels mid-bucket first: 2^20−40000 has 25 536 to fall before
-	// its hint changes, 40 000 has 960 to climb.
 	pay := func(amount chain.Amount) {
 		t.Helper()
 		r, err := alice.PayRouted(carol.Identity(), amount, testTimeout)
@@ -183,38 +191,109 @@ func TestRoutedPaymentsGossipOnlyOnBucketCrossings(t *testing.T) {
 			t.Fatalf("routed payment of %d: route %+v, %v", amount, r, err)
 		}
 	}
-	pay(40_000)
-	c.awaitHints()
+	paying := []route.EdgeKey{
+		{Channel: channelOf(t, alice, bob), From: alice.Identity()},
+		{Channel: channelOf(t, bob, carol), From: bob.Identity()},
+	}
+	receiving := []route.EdgeKey{
+		{Channel: channelOf(t, alice, bob), From: bob.Identity()},
+		{Channel: channelOf(t, bob, carol), From: carol.Identity()},
+	}
+	// expectMoved checks that every graph holds exactly one more
+	// version of each moved edge than versions recorded, and the same
+	// version of every other edge; it returns the new versions.
+	expectMoved := func(versions map[string][]wire.GossipDigest, moved ...route.EdgeKey) map[string][]wire.GossipDigest {
+		t.Helper()
+		c.awaitHints()
+		for name, before := range versions {
+			for _, d := range before {
+				key := route.EdgeKey{Channel: d.Channel, From: d.From}
+				want := d.Version
+				if slices.Contains(moved, key) {
+					want++
+				}
+				if got := c.hosts[name].RouteGraph().Version(key); got != want {
+					t.Fatalf("%s holds version %d of %s's side of %s, want %d", name, got, d.From, d.Channel, want)
+				}
+			}
+		}
+		return c.graphVersions()
+	}
 
-	versions, frames := c.graphVersions(), c.framesOut()
+	// A fresh deposit is announced exactly, so the first payment drops
+	// the paying sides (2^20 − 1000) below their hints — new hint
+	// 1 015 808, 31 768 below the balance — and lifts the receiving
+	// sides from empty to 1000, announced as 992.
+	versions := expectMoved(c.graphVersions())
+	pay(1000)
+	versions = expectMoved(versions, append(paying, receiving...)...)
+
+	// 300 more units keep the receiving sides under 2·992 and the paying
+	// sides above 1 015 808: stage frames only, no graph moves. Exact
+	// 5-bit buckets re-announced the receiving sides every 32 units.
+	frames := c.framesOut()
 	for i := 0; i < 100; i++ {
 		pay(chain.Amount(1 + i%5))
 	}
-	if got := c.framesOut() - frames; got != 100*6*2 {
-		t.Fatalf("100 two-hop payments sent %d frames, want %d (six stages per hop)", got, 100*6*2)
+	if got, want := c.framesOut()-frames, uint64(100*mhStageFrames*2); got != want {
+		t.Fatalf("100 two-hop payments sent %d frames, want %d (six stages per hop)", got, want)
 	}
-	if got := c.graphVersions(); !reflect.DeepEqual(got, versions) {
-		t.Fatalf("payments inside their buckets moved the graphs:\n got %v\nwant %v", got, versions)
-	}
+	versions = expectMoved(versions)
 
-	// 40 300 + 2000 crosses 40 960 on both receiving sides (bob's side
-	// of alice–bob, carol's side of bob–carol); the paying sides stay
-	// inside their 32 768-wide buckets.
-	pay(2000)
-	c.awaitHints()
-	moved := map[route.EdgeKey]bool{
-		{Channel: channelOf(t, alice, bob), From: bob.Identity()}:   true,
-		{Channel: channelOf(t, bob, carol), From: carol.Identity()}: true,
-	}
-	for name, before := range versions {
-		for _, d := range before {
-			want := d.Version
-			if moved[route.EdgeKey{Channel: d.Channel, From: d.From}] {
-				want++
-			}
-			if got := c.hosts[name].RouteGraph().Version(route.EdgeKey{Channel: d.Channel, From: d.From}); got != want {
-				t.Fatalf("%s holds version %d of an edge of %s, want %d", name, got, d.Channel, want)
-			}
+	// 1300 + 700 reaches twice the receiving sides' hint: they announce
+	// 1984; the paying sides stay above theirs.
+	pay(700)
+	versions = expectMoved(versions, receiving...)
+
+	// 31 000 more drops the paying sides to 1 015 576, below their hint
+	// — they announce the next bucket down, as exact buckets did — and
+	// carries the receiving sides past twice 1984.
+	pay(31_000)
+	expectMoved(versions, append(paying, receiving...)...)
+}
+
+// TestHoveringBalancesStopFlooding: payments flowing both ways over a
+// line keep the small balances of its reverse direction wandering
+// around a level — what the edges of a busy network do. Under exact
+// 5-bit buckets these 1 000 payments flooded 840 announcement frames;
+// under the band rule they send their stage frames and next to nothing
+// else.
+func TestHoveringBalancesStopFlooding(t *testing.T) {
+	c := newRoutedCluster(t, map[string]Config{"alice": {}, "bob": {}, "carol": {}})
+	c.channel("alice", "bob", 1<<20)
+	c.channel("bob", "carol", 1<<20)
+	alice, carol := c.hosts["alice"], c.hosts["carol"]
+	c.awaitEdge("alice", "bob", "carol", 1<<20)
+	pay := func(from, to *Host, amount chain.Amount) {
+		t.Helper()
+		if r, err := from.PayRouted(to.Identity(), amount, testTimeout); err != nil || len(r.Hops) != 3 {
+			t.Fatalf("routed payment of %d from %s: route %+v, %v", amount, from.Name(), r, err)
 		}
 	}
+	// Give the reverse direction 300 units to hover around.
+	pay(alice, carol, 300)
+	c.awaitHints()
+	c.awaitEdge("carol", "bob", "alice", 300)
+
+	const (
+		payments = 1000
+		// gossipBudget is the announcement frames allowed per 1 000
+		// payments. An announcement costs 2 frames on this line; the
+		// reverse balances drift ±4 per pair of payments around 300, so
+		// they leave [hint, 2·hint) a few times at most.
+		gossipBudget = 60
+	)
+	rng := rand.New(rand.NewSource(1))
+	frames := c.framesOut()
+	for i := 0; i < payments/2; i++ {
+		pay(alice, carol, chain.Amount(1+rng.Intn(5)))
+		pay(carol, alice, chain.Amount(1+rng.Intn(5)))
+	}
+	c.awaitHints()
+	stages := uint64(payments * mhStageFrames * 2)
+	got := c.framesOut() - frames
+	if got < stages || got > stages+gossipBudget {
+		t.Fatalf("%d two-hop payments sent %d frames, want %d stage frames plus at most %d of gossip", payments, got, stages, gossipBudget)
+	}
+	t.Logf("%d payments: %d stage frames, %d gossip frames", payments, stages, got-stages)
 }

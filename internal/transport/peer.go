@@ -233,7 +233,11 @@ func (p *peer) run() {
 		if p.retired.Load() {
 			return
 		}
-		ch.conn.Close()
+		// The connection is the read loop's to close, not the writer's:
+		// a write fails as soon as the remote resets, while frames it
+		// sent before that may still sit unread in our receive buffer,
+		// and closing here would discard them. The reader drains what
+		// arrived, meets the same dead connection, and closes it.
 		select {
 		case <-p.quit:
 			return

@@ -202,8 +202,10 @@ func (h *Host) handleGossipSummaryLocked(from cryptoutil.PublicKey, sum *wire.Go
 }
 
 // flushGossipLocked drains every peer's pending-announcement queue onto
-// the wire. Gossip only ever flows on the cold path, so draining inline
-// under the wide lock is fine.
+// the wire. Queues only fill when Handle or Announce report a change,
+// and both callers drain right after, so there is nothing to look for
+// at any other time. Gossip only ever flows on the cold path, so
+// draining inline under the wide lock is fine.
 func (h *Host) flushGossipLocked() {
 	for _, id := range h.routes.PendingPeers() {
 		anns := h.routes.Drain(id, 0)
@@ -226,33 +228,35 @@ func (h *Host) attachGossipPeerLocked(id cryptoutil.PublicKey) {
 }
 
 // reannounceLocked re-derives this node's own gossip announcements from
-// enclave channel state: one directed edge per open channel, capacity =
-// the hint of our spendable balance (route.HintCapacity: rounded down
-// to 5 significant bits), plus retractions for closed ones. Announce
-// swallows no-ops without a version bump, so calling this after every
-// cold operation is cheap and only real changes flood: a multihop
-// payment that does not move a balance across a hint bucket sends no
-// gossip at all. Lane payments deliberately do not reannounce —
-// per-payment gossip would drown the network, and stale capacity only
-// costs a clean transient abort at pathfinding's expense.
+// enclave channel state: one directed edge per open channel carrying
+// our spendable balance, plus retractions for closed ones. Announce
+// turns the balance into a capacity hint that stands while it is right
+// (route.StandingHint) and swallows no-ops without a version bump, so
+// calling this after every cold operation is cheap and only real
+// changes flood: a multihop payment that leaves every balance within a
+// factor of two above its hint sends no gossip at all, and nothing is
+// drained when nothing was queued. Lane payments deliberately do not
+// reannounce — per-payment gossip would drown the network, and stale
+// capacity only costs a clean transient abort at pathfinding's expense.
 func (h *Host) reannounceLocked() {
 	st := h.enclave.State()
 	if len(st.Channels) == 0 {
 		return
 	}
 	fee := h.enclave.FeePolicy()
-	self := h.routes.Self()
+	announced := false
 	for id, c := range st.Channels {
 		if !c.Open {
 			continue
 		}
-		before := h.routes.Graph().Version(route.EdgeKey{Channel: id, From: self})
-		ann := h.routes.Announce(id, c.Remote, route.HintCapacity(c.MyBal), fee, c.Closed)
-		if ann.Version != before {
+		if _, fresh := h.routes.Announce(id, c.Remote, c.MyBal, fee, c.Closed); fresh {
 			h.noteRouteUpdateLocked(id)
+			announced = true
 		}
 	}
-	h.flushGossipLocked()
+	if announced {
+		h.flushGossipLocked()
+	}
 }
 
 // noteRouteUpdateLocked reports a graph change to control-plane

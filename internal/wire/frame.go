@@ -408,7 +408,7 @@ func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
 // returned Frame (its Token and, for binary payloads, its Msg) is valid
 // only until the next Next call — exactly the per-connection read-loop
 // discipline of internal/transport, which fully processes each frame
-// before reading the next.
+// before reading the next — unless the caller Keeps the message.
 type FrameReader struct {
 	r     io.Reader
 	body  []byte
@@ -419,6 +419,16 @@ type FrameReader struct {
 // NewFrameReader wraps r (typically a *bufio.Reader) for frame pumping.
 func NewFrameReader(r io.Reader) *FrameReader {
 	return &FrameReader{r: r, reuse: make([]Message, len(typeByCode))}
+}
+
+// Keep hands the message of the frame Next just returned over to the
+// caller for good: the reader decodes the next frame of that code into
+// a fresh message instead of overwriting this one. Read loops call it
+// before passing a binary message to another goroutine.
+func (fr *FrameReader) Keep(f Frame) {
+	if int(f.Code) < len(fr.reuse) && fr.reuse[f.Code] == f.Msg {
+		fr.reuse[f.Code] = nil
+	}
 }
 
 // Next reads and decodes one frame. See FrameReader for the validity
@@ -620,6 +630,14 @@ func AppendLPString(dst []byte, s string) ([]byte, error) { return appendString(
 // ReadLPString parses a length-prefixed string, reusing prev when the
 // bytes match.
 func ReadLPString(src []byte, prev string) (string, []byte, error) { return readString(src, prev) }
+
+// AppendStr16 and ReadStr16 are the uint16-length-prefixed string codec
+// of the multi-hop payloads (mhcodec.go), for strings a uint8 length
+// cannot hold.
+func AppendStr16(dst []byte, s string) ([]byte, error) { return appendStr16(dst, s) }
+
+// ReadStr16 parses a uint16-length-prefixed string.
+func ReadStr16(src []byte) (string, []byte, error) { return readStr16(src) }
 
 // AppendPayload implements BinaryMessage.
 func (m *ReplBatch) AppendPayload(dst []byte) ([]byte, error) {
