@@ -9,156 +9,45 @@
 //	teechain-bench -run table1,fig4
 //	teechain-bench -quick     # reduced measurement lengths
 //
-// Deployment-path benchmarking (real TCP cluster, see socket.go):
+// Overload benchmarking (admission control under overdrive over real
+// TCP, see overload.go):
 //
-//	teechain-bench -socket                          # scaling table
-//	teechain-bench -socket -channels 1,8 -batch 64
-//	teechain-bench -socket -socketjson BENCH_socket.json
-//	teechain-bench -socket -socketjson F -socketcompare BENCH_socket.json
+//	teechain-bench -overdrive 10
+//	teechain-bench -overdrive 10 -overloadjson F -overloadcompare BENCH_overload.json
 //
-// Replicated-payment benchmarking (committee chains over real TCP, see
-// replication.go):
-//
-//	teechain-bench -socket -committee 0,1,2,4
-//	teechain-bench -socket -committee 2 -repljson F -replcompare BENCH_replication.json
-//
-// Durability benchmarking (WAL-durable vs in-memory sender, see
-// durability.go):
-//
-//	teechain-bench -socket -durable
-//	teechain-bench -socket -durable -durjson F -durcompare BENCH_durability.json
-//
-// Routed-payment benchmarking (gossip graph, fee-aware pathfinding,
-// routed multihop over a random topology, see routing.go):
-//
-//	teechain-bench -socket -route
-//	teechain-bench -socket -route -routejson F -routecompare BENCH_routing.json
-//
-// Overload benchmarking (admission control under overdrive, see
-// overload.go):
-//
-//	teechain-bench -socket -overdrive 10
-//	teechain-bench -socket -overdrive 10 -overloadjson F -overloadcompare BENCH_overload.json
+// The payment path itself — lanes, committees, the WAL, routed
+// payments — is measured by the benchmark program in bench/
+// (bash bench/run.sh).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
-	"testing"
 	"time"
-)
 
-import (
-	"teechain"
 	"teechain/internal/harness"
 )
 
 func main() {
 	runFlag := flag.String("run", "all", "comma-separated experiments: table1,table2,table3,table4,fig4,fig6,fig7")
 	quick := flag.Bool("quick", false, "reduced measurement lengths")
-	benchJSON := flag.String("benchjson", "", "write the payment micro-benchmark (ns/op, allocs/op, B/op, simulated tx/s) as JSON to this file and exit")
-	compare := flag.String("compare", "", "with -benchjson: compare the fresh snapshot against this baseline JSON and exit nonzero on >25% ns/op regression or any allocs/op increase")
-	socket := flag.Bool("socket", false, "run the real-TCP socket cluster benchmark (channel scaling) and exit")
-	channels := flag.String("channels", "1,2,4,8", "with -socket: comma-separated channel counts to measure")
-	socketPay := flag.Int("spay", 20000, "with -socket: payments per channel")
-	batch := flag.Int("batch", 64, "with -socket: payments per PayBatch frame (1 = unbatched Pay frames)")
-	sreps := flag.Int("sreps", 2, "with -socket: repetitions per channel count (best tx/s kept)")
-	socketJSON := flag.String("socketjson", "", "with -socket: write the snapshot as JSON to this file")
-	socketCompare := flag.String("socketcompare", "", "with -socket: compare against this baseline JSON and exit nonzero on >25% tx/s regression")
-	committee := flag.String("committee", "", "with -socket: comma-separated committee sizes to measure (e.g. 0,1,2,4); runs the replicated-payment benchmark instead of channel scaling")
-	replJSON := flag.String("repljson", "", "with -socket -committee: write the replication snapshot as JSON to this file")
-	replCompare := flag.String("replcompare", "", "with -socket -committee: compare against this baseline JSON and exit nonzero on >25% tx/s regression")
-	durable := flag.Bool("durable", false, "with -socket: run the durability benchmark (WAL-durable vs in-memory sender) instead of channel scaling")
-	durJSON := flag.String("durjson", "", "with -socket -durable: write the durability snapshot as JSON to this file")
-	durCompare := flag.String("durcompare", "", "with -socket -durable: compare against this baseline JSON and exit nonzero on >25% durable tx/s regression or a durable/in-memory ratio below 0.25")
-	routeBench := flag.Bool("route", false, "with -socket: run the routed-payment benchmark (gossip graph, fee-aware pathfinding, routed multihop) instead of channel scaling")
-	routePay := flag.Int("rpay", 200, "with -socket -route: routed payments per run")
-	routeFinds := flag.Int("rfinds", 2000, "with -socket -route: pathfinding queries per run")
-	routeJSON := flag.String("routejson", "", "with -socket -route: write the routing snapshot as JSON to this file")
-	routeCompare := flag.String("routecompare", "", "with -socket -route: compare against this baseline JSON and exit nonzero on >25% routed tx/s regression or >25% path-find p99 regression")
-	overdrive := flag.Int("overdrive", 0, "with -socket: run the overload benchmark at this offered-load multiple (e.g. 10) instead of channel scaling")
-	overloadJSON := flag.String("overloadjson", "", "with -socket -overdrive: write the overload snapshot as JSON to this file")
-	overloadCompare := flag.String("overloadcompare", "", "with -socket -overdrive: compare against this baseline JSON and exit nonzero on a flat-p99 violation or >25% admitted tx/s regression")
+	overdrive := flag.Int("overdrive", 0, "run the overload benchmark at this offered-load multiple (e.g. 10) instead of the paper experiments")
+	socketPay := flag.Int("spay", 20000, "with -overdrive: a tenth of the payments per run")
+	batch := flag.Int("batch", 64, "with -overdrive: payments per PayBatch frame")
+	sreps := flag.Int("sreps", 2, "with -overdrive: repetitions (best kept per gate criterion)")
+	overloadJSON := flag.String("overloadjson", "", "with -overdrive: write the overload snapshot as JSON to this file")
+	overloadCompare := flag.String("overloadcompare", "", "with -overdrive: compare against this baseline JSON and exit nonzero on a flat-p99 violation or >25% admitted tx/s regression")
 	flag.Parse()
 
-	if *durable {
-		if !*socket {
-			log.Fatal("-durable requires -socket")
-		}
-		if *committee != "" {
-			log.Fatal("-durable and -committee are separate benchmarks; pick one")
-		}
-		if *quick {
-			*socketPay = 4000
-		}
-		snap, err := runDurSuite(*socketPay, *batch, *sreps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *durJSON != "" {
-			if err := writeDurJSON(*durJSON, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *durCompare != "" {
-			if err := compareDurBaseline(*durCompare, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-	if *durJSON != "" || *durCompare != "" {
-		log.Fatal("-durjson/-durcompare require -socket -durable")
-	}
-
-	if *routeBench {
-		if !*socket {
-			log.Fatal("-route requires -socket")
-		}
-		if *committee != "" {
-			log.Fatal("-route and -committee are separate benchmarks; pick one")
-		}
-		if *quick {
-			*routePay = 100
-			*routeFinds = 500
-		}
-		snap, err := runRouteSuite(*routePay, *routeFinds, *sreps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *routeJSON != "" {
-			if err := writeRouteJSON(*routeJSON, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *routeCompare != "" {
-			if err := compareRouteBaseline(*routeCompare, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-	if *routeJSON != "" || *routeCompare != "" {
-		log.Fatal("-routejson/-routecompare require -socket -route")
-	}
-
 	if *overdrive > 0 {
-		if !*socket {
-			log.Fatal("-overdrive requires -socket")
-		}
-		if *committee != "" {
-			log.Fatal("-overdrive and -committee are separate benchmarks; pick one")
-		}
 		if *quick {
 			*socketPay = 4000
 		}
 		// Tail percentiles need far more steady state than a throughput
-		// mean: 10x the socket bench's payment count keeps the p99-ratio
-		// gate out of warmup/GC noise while still finishing in seconds.
+		// mean: 10x -spay keeps the p99-ratio gate out of warmup/GC noise
+		// while still finishing in seconds.
 		snap, err := runOverloadSuite(*socketPay*10, *batch, *overdrive, *sreps)
 		if err != nil {
 			log.Fatal(err)
@@ -176,77 +65,7 @@ func main() {
 		return
 	}
 	if *overloadJSON != "" || *overloadCompare != "" {
-		log.Fatal("-overloadjson/-overloadcompare require -socket -overdrive")
-	}
-
-	if *socket && *committee != "" {
-		if *socketJSON != "" || *socketCompare != "" {
-			log.Fatal("-socketjson/-socketcompare are for the channel-scaling benchmark; use -repljson/-replcompare with -committee")
-		}
-		if *quick {
-			*socketPay = 4000
-		}
-		snap, err := runReplSuite(*committee, *socketPay, *batch, *sreps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *replJSON != "" {
-			if err := writeReplJSON(*replJSON, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *replCompare != "" {
-			if err := compareReplBaseline(*replCompare, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-	if *committee != "" || *replJSON != "" || *replCompare != "" {
-		log.Fatal("-committee/-repljson/-replcompare require -socket (and -committee for the JSON flags)")
-	}
-
-	if *socket {
-		if *quick {
-			*socketPay = 4000
-		}
-		snap, err := runSocketSuite(*channels, *socketPay, *batch, *sreps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if *socketJSON != "" {
-			if err := writeSocketJSON(*socketJSON, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *socketCompare != "" {
-			if err := compareSocketBaseline(*socketCompare, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-	if *socketJSON != "" || *socketCompare != "" {
-		log.Fatal("-socketjson/-socketcompare require -socket")
-	}
-
-	if *benchJSON != "" {
-		snap, err := measureBench()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := writeBenchJSON(*benchJSON, snap); err != nil {
-			log.Fatal(err)
-		}
-		if *compare != "" {
-			if err := compareBaseline(*compare, snap); err != nil {
-				log.Fatal(err)
-			}
-		}
-		return
-	}
-	if *compare != "" {
-		log.Fatal("-compare requires -benchjson")
+		log.Fatal("-overloadjson/-overloadcompare require -overdrive")
 	}
 
 	want := map[string]bool{}
@@ -334,158 +153,4 @@ func main() {
 
 func section(title string) {
 	fmt.Printf("\n================ %s ================\n", title)
-}
-
-// paymentBench is the wall-clock microbenchmark of the simulated
-// payment path (mirrors BenchmarkPaymentChannel): one payment through
-// two enclaves end to end, including session freshness tokens.
-func paymentBench(b *testing.B) {
-	net, err := teechain.NewNetwork()
-	if err != nil {
-		b.Fatal(err)
-	}
-	alice, _ := net.AddNode("alice", teechain.SiteUK, teechain.NodeOptions{})
-	bob, _ := net.AddNode("bob", teechain.SiteUK, teechain.NodeOptions{})
-	ch, err := net.OpenChannel(alice, bob, teechain.Amount(b.N)+1_000_000, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	acked := 0
-	done := func(bool, time.Duration, string) { acked++ }
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := alice.Pay(ch, 1, done); err != nil {
-			b.Fatal(err)
-		}
-		net.Run()
-	}
-	if acked != b.N {
-		b.Fatalf("acked %d of %d", acked, b.N)
-	}
-}
-
-// simulatedChannelThroughput measures single-channel capacity in
-// virtual time: a closed loop with a deep window over the US–UK
-// channel, acknowledged payments per simulated second after warmup.
-func simulatedChannelThroughput(total int) (float64, error) {
-	net, err := teechain.NewNetwork()
-	if err != nil {
-		return 0, err
-	}
-	alice, _ := net.AddNode("alice", teechain.SiteUS, teechain.NodeOptions{})
-	bob, _ := net.AddNode("bob", teechain.SiteUK, teechain.NodeOptions{})
-	ch, err := net.OpenChannel(alice, bob, teechain.Amount(total)+1_000_000, 0)
-	if err != nil {
-		return 0, err
-	}
-	// The window must out-run the bandwidth-delay product of the
-	// channel (capacity ~130 k tx/s × 90 ms RTT ≈ 12 k in flight) so
-	// the measurement reads enclave capacity, not the round trip.
-	const window = 16_384
-	warmup := total / 10
-	issued, acked, failed := 0, 0, 0
-	var tWarm, tEnd time.Duration
-	var issue func(k int)
-	done := func(ok bool, _ time.Duration, _ string) {
-		if !ok {
-			failed++
-		}
-		acked++
-		if acked == warmup {
-			tWarm = net.Now()
-		}
-		if acked == total {
-			tEnd = net.Now()
-		}
-		issue(1)
-	}
-	issue = func(k int) {
-		for i := 0; i < k && issued < total; i++ {
-			issued++
-			if err := alice.Pay(ch, 1, done); err != nil {
-				done(false, 0, err.Error())
-			}
-		}
-	}
-	issue(window)
-	if err := net.Until(func() bool { return acked >= total }); err != nil {
-		return 0, err
-	}
-	if failed > 0 {
-		return 0, fmt.Errorf("throughput measurement: %d of %d payments failed", failed, total)
-	}
-	elapsed := (tEnd - tWarm).Seconds()
-	if elapsed <= 0 {
-		return 0, nil
-	}
-	return float64(total-warmup) / elapsed, nil
-}
-
-// benchSnapshot is the payment-path perf record tracked across PRs:
-// wall-clock simulator speed AND the simulated protocol metric, which
-// must not drift.
-type benchSnapshot struct {
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	SimTxPerSec float64 `json:"sim_tx_per_s"`
-	Payments    int     `json:"bench_payments"`
-}
-
-func measureBench() (*benchSnapshot, error) {
-	r := testing.Benchmark(paymentBench)
-	tput, err := simulatedChannelThroughput(100_000)
-	if err != nil {
-		return nil, err
-	}
-	return &benchSnapshot{
-		NsPerOp:     int64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		SimTxPerSec: tput,
-		Payments:    r.N,
-	}, nil
-}
-
-func writeBenchJSON(path string, snap *benchSnapshot) error {
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d ns/op, %d allocs/op, %.0f simulated tx/s\n",
-		path, snap.NsPerOp, snap.AllocsPerOp, snap.SimTxPerSec)
-	return nil
-}
-
-// compareBaseline is the CI perf regression gate: the fresh snapshot
-// may not regress ns/op by more than 25% or add a single allocation on
-// the payment hot path.
-func compareBaseline(path string, fresh *benchSnapshot) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("reading baseline: %w", err)
-	}
-	var base benchSnapshot
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	fmt.Printf("baseline %s: %d ns/op, %d allocs/op, %.0f simulated tx/s\n",
-		path, base.NsPerOp, base.AllocsPerOp, base.SimTxPerSec)
-	limit := base.NsPerOp + base.NsPerOp/4
-	if fresh.NsPerOp > limit {
-		return fmt.Errorf("perf regression: %d ns/op exceeds baseline %d by more than 25%% (limit %d)",
-			fresh.NsPerOp, base.NsPerOp, limit)
-	}
-	if fresh.AllocsPerOp > base.AllocsPerOp {
-		return fmt.Errorf("alloc regression: %d allocs/op, baseline %d (no increase allowed)",
-			fresh.AllocsPerOp, base.AllocsPerOp)
-	}
-	fmt.Printf("perf gate passed: ns/op %d <= %d, allocs/op %d <= %d\n",
-		fresh.NsPerOp, limit, fresh.AllocsPerOp, base.AllocsPerOp)
-	return nil
 }

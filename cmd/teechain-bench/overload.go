@@ -48,6 +48,10 @@ const (
 	overloadBudgetPerChannel = 512
 	overloadBudgetTotal      = 4096
 	overloadBaseWorkers      = 8
+
+	// overloadTimeout bounds each SDK call; far above any admitted
+	// batch's latency, so only a wedged cluster hits it.
+	overloadTimeout = 120 * time.Second
 )
 
 // overloadResult is the measurement for one load level.
@@ -100,7 +104,7 @@ func runOverloadBench(payments, batch, workers int) (overloadResult, error) {
 	}
 	chID := wire.ChannelID(id)
 	sender := c.Client("s0")
-	sender.SetTimeout(socketBenchTimeout)
+	sender.SetTimeout(overloadTimeout)
 
 	// Workers claim payments from a shared counter so the total is
 	// exact no matter how the schedule interleaves them.

@@ -581,11 +581,6 @@ type HostStats struct {
 	// (failed token authentication or binding, replayed counters,
 	// sessionless peers).
 	FramesRejected uint64
-	// PaymentsWide counts payments that fell back to the wide lock
-	// instead of a payment lane — the fast-path regression canary (a
-	// healthy durable or replicated node keeps it at zero). Appended
-	// in protocol v2; a v1 gob stream simply leaves it zero.
-	PaymentsWide uint64
 	// Admission control (protocol v3; older gob streams leave them
 	// zero). PaymentsRejected counts payments refused at admission —
 	// never issued, never debited. PaymentsInflight is the current
@@ -613,7 +608,6 @@ type ChannelStatsEntry struct {
 // committee chain (zero value Chain == "" when the node owns none).
 type CommitteeStatsEntry struct {
 	Chain      string
-	Pipelined  bool
 	NextSeq    uint64
 	FlushSeq   uint64
 	AckSeq     uint64

@@ -128,7 +128,7 @@ func TestGobCodecRoundTrip(t *testing.T) {
 			Host:         HostStats{PaymentsAcked: 10},
 			Channels:     []ChannelStatsEntry{{Channel: "ch-1", Sent: 3, Acked: 3}},
 			HasCommittee: true,
-			Committee:    CommitteeStatsEntry{Chain: "cc-1", Pipelined: true, AckSeq: 4},
+			Committee:    CommitteeStatsEntry{Chain: "cc-1", AckSeq: 4},
 		},
 		&SubscribeReq{ReqHeader: ReqHeader{ID: 10}, Mask: MaskAll},
 		&ErrorResp{RespHeader: RespHeader{ID: 11, Code: CodeUnknown, Err: "nope"}},

@@ -50,13 +50,6 @@ type Conn struct {
 	closed  bool
 	readErr error
 
-	// payWindow bounds in-flight async payment requests (nil =
-	// unbounded); paySlots maps pending IDs to the window channel
-	// their token came from, released when the response is delivered.
-	// Both guarded by mu.
-	payWindow chan struct{}
-	paySlots  map[uint64]chan struct{}
-
 	nextID     atomic.Uint64
 	readerDone chan struct{}
 
@@ -95,7 +88,6 @@ func DialConfig(addr string, cfg Config) (*Conn, error) {
 	c := &Conn{
 		conn:       nc,
 		pending:    make(map[uint64]chan api.Response),
-		paySlots:   make(map[uint64]chan struct{}),
 		readerDone: make(chan struct{}),
 	}
 	c.timeout.Store(int64(cfg.Timeout))
@@ -144,10 +136,9 @@ type Pending struct {
 	ch chan api.Response
 }
 
-// start stamps a correlation ID, registers the pending slot (and the
-// issue-window token to release on completion, when non-nil), and
+// start stamps a correlation ID, registers the pending slot, and
 // writes the request frame.
-func (c *Conn) start(req api.Request, slot chan struct{}) (*Pending, error) {
+func (c *Conn) start(req api.Request) (*Pending, error) {
 	id := c.nextID.Add(1)
 	req.SetCorrID(id)
 	ch := make(chan api.Response, 1)
@@ -157,9 +148,6 @@ func (c *Conn) start(req api.Request, slot chan struct{}) (*Pending, error) {
 		return nil, fmt.Errorf("client: connection closed")
 	}
 	c.pending[id] = ch
-	if slot != nil {
-		c.paySlots[id] = slot
-	}
 	c.mu.Unlock()
 
 	var zero cryptoutil.PublicKey
@@ -173,49 +161,10 @@ func (c *Conn) start(req api.Request, slot chan struct{}) (*Pending, error) {
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
-		delete(c.paySlots, id)
 		c.mu.Unlock()
 		return nil, err
 	}
 	return &Pending{c: c, id: id, ch: ch}, nil
-}
-
-// startPay is start for asynchronous payment requests, honoring the
-// SetPayWindow issue window: it blocks for a window token (or the
-// connection dying), and the token is returned when the response is
-// delivered (or issue fails).
-func (c *Conn) startPay(req api.Request) (*Pending, error) {
-	c.mu.Lock()
-	w := c.payWindow
-	c.mu.Unlock()
-	if w != nil {
-		select {
-		case w <- struct{}{}:
-		case <-c.readerDone:
-			return nil, fmt.Errorf("client: connection lost: %w", c.readError())
-		}
-	}
-	p, err := c.start(req, w)
-	if err != nil && w != nil {
-		<-w
-	}
-	return p, err
-}
-
-// SetPayWindow bounds the number of in-flight PayAsync/PayBatchAsync
-// requests: once n are awaiting responses, further issues block until
-// one completes. A bounded window keeps an open-loop generator from
-// tripping the server's admission control — the client self-clocks
-// instead of being shed. n <= 0 removes the bound (the default).
-// Requests already in flight keep the window they were issued under.
-func (c *Conn) SetPayWindow(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n <= 0 {
-		c.payWindow = nil
-		return
-	}
-	c.payWindow = make(chan struct{}, n)
 }
 
 // waitResp blocks for the raw response.
@@ -263,7 +212,7 @@ func respErr(resp api.Response) error {
 // do runs one request synchronously, returning the typed response
 // (already checked for OK).
 func (c *Conn) do(req api.Request) (api.Response, error) {
-	p, err := c.start(req, nil)
+	p, err := c.start(req)
 	if err != nil {
 		return nil, err
 	}
@@ -324,12 +273,7 @@ func (c *Conn) deliver(resp api.Response) {
 	c.mu.Lock()
 	ch := c.pending[resp.CorrID()]
 	delete(c.pending, resp.CorrID())
-	slot := c.paySlots[resp.CorrID()]
-	delete(c.paySlots, resp.CorrID())
 	c.mu.Unlock()
-	if slot != nil {
-		<-slot // return the issue-window token
-	}
 	if ch != nil {
 		ch <- resp
 	}
@@ -437,10 +381,9 @@ func (c *Conn) Pay(ch wire.ChannelID, amount chain.Amount, count int) error {
 }
 
 // PayAsync issues count payments of amount each and returns a
-// completion handle; the payments are in flight when it returns. With
-// SetPayWindow set, it blocks while the window is full.
+// completion handle; the payments are in flight when it returns.
 func (c *Conn) PayAsync(ch wire.ChannelID, amount chain.Amount, count int) (*Pending, error) {
-	return c.startPay(&api.PayReq{Channel: ch, Amount: amount, Count: uint32(count)})
+	return c.start(&api.PayReq{Channel: ch, Amount: amount, Count: uint32(count)})
 }
 
 // PayBatch sends len(amounts) payments in one wire frame and blocks
@@ -454,10 +397,9 @@ func (c *Conn) PayBatch(ch wire.ChannelID, amounts []chain.Amount) error {
 }
 
 // PayBatchAsync issues a payment batch and returns a completion
-// handle. The amounts slice is not retained. With SetPayWindow set, it
-// blocks while the window is full.
+// handle. The amounts slice is not retained.
 func (c *Conn) PayBatchAsync(ch wire.ChannelID, amounts []chain.Amount) (*Pending, error) {
-	return c.startPay(&api.PayBatchReq{Channel: ch, Amounts: amounts})
+	return c.start(&api.PayBatchReq{Channel: ch, Amounts: amounts})
 }
 
 // SetMultihopRetry overrides the retry policy Multihop applies to

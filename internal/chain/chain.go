@@ -395,16 +395,6 @@ func (c *Chain) UTXO(op OutPoint) (TxOut, bool) {
 	return e.out, ok
 }
 
-// UTXOAge returns how many blocks ago an unspent output was created
-// (0 when created at the current height or unknown).
-func (c *Chain) UTXOAge(op OutPoint) uint64 {
-	e, ok := c.utxo[op]
-	if !ok {
-		return 0
-	}
-	return c.Height() - e.height
-}
-
 // Unspent reports whether an outpoint is currently unspent.
 func (c *Chain) Unspent(op OutPoint) bool {
 	_, ok := c.utxo[op]

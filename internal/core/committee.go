@@ -51,13 +51,7 @@ func (e *Enclave) FormCommittee(members []cryptoutil.PublicKey, m int) (*Result,
 		// withheld effects (released only once every enabled cursor
 		// passes an entry). The combined notify wakes both flushers.
 		log := e.wal.log
-		if walNotify, replNotify := log.notify, e.replNotify; replNotify != nil {
-			if walNotify != nil {
-				log.notify = func() { walNotify(); replNotify() }
-			} else {
-				log.notify = replNotify
-			}
-		}
+		log.notify = bothNotify(log.notify, e.replNotify)
 		// Pre-formation ops ride the ReplAttach snapshot, not the
 		// replication stream — and a durable log is always pipelined,
 		// so appends never advanced flushSeq. Jump the replication
@@ -69,8 +63,8 @@ func (e *Enclave) FormCommittee(members []cryptoutil.PublicKey, m int) (*Result,
 		log.mu.Unlock()
 		e.repl.log = log
 	} else {
-		// A host that opted into pipelined replication before formation
-		// (EnableReplPipeline) gets the chain's log in pipelined mode.
+		// A concurrent host (EnableConcurrentHost) gets the chain's log
+		// in pipelined mode; the simulator's gets immediate mode.
 		e.repl.log = &replLog{pipelined: e.replPipelined, notify: e.replNotify}
 	}
 	if len(members) == 0 {

@@ -30,15 +30,16 @@
 //  1. hold the deployment's wide lock in READ mode (so session,
 //     channel, and peer maps are not mutated underneath), and
 //  2. hold the lane lock of the peer involved (so per-session counters
-//     and per-channel balances see one writer at a time), and
-//  3. route traffic through lanes only while LaneEligible reports true,
-//     re-checked under the read lock on every message.
+//     and per-channel balances see one writer at a time).
 //
-// The pools these paths allocate from are switched to mutex-guarded
-// mode by EnableConcurrentHost before any concurrency exists.
+// What makes lanes safe at all — mutex-guarded pools, commits that
+// append to a log behind its own mutex, no feature that funnels
+// payments through shared state — is established once, by
+// EnableConcurrentHost, before any concurrency exists.
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"teechain/internal/cryptoutil"
@@ -46,40 +47,37 @@ import (
 )
 
 // EnableConcurrentHost prepares the enclave for a host that runs
-// payment lanes concurrently (see the package comment above): the
-// hot-path pools become mutex-guarded. Must be called before the host
-// spawns any goroutine that can reach the enclave.
-func (e *Enclave) EnableConcurrentHost() {
-	e.pools.setShared()
-}
-
-// LaneEligible reports whether payment traffic may currently bypass the
-// wide lock. Stable storage and outsourcing funnel payment commits
-// through shared state (sealed snapshots, command relays), so either
-// forces payments back onto the wide path. Replication does NOT: a
-// pipelined chain gives replicated commits their own concurrency domain
-// — the log behind its own mutex (repl.go) — so lane payments append
-// their ops and withheld effects there without touching wide state; an
-// immediate-mode chain (the simulator's default) still takes the wide
-// path, where the synchronous ReplUpdate emission belongs. Serving as a
-// committee BACKUP never disqualifies lanes: mirrors are only touched
-// by replication frames, which are wide-path messages. Durable (WAL)
-// mode keeps lanes eligible for the same reason replication does: the
-// durable log is always pipelined, so lane commits append behind the
-// log's own mutex and the WAL flusher drains them without wide state —
-// that is what keeps durable payments at line rate. Hosts re-check
-// this under the wide read lock for every lane message; the features
-// above are only ever enabled under the wide write lock, so the answer
-// cannot change mid-message.
-func (e *Enclave) LaneEligible() bool {
-	if e.cfg.StableStorage || !e.outsourceUser.IsZero() {
-		return false
+// payment lanes concurrently (see the package comment above), once and
+// for the enclave's lifetime:
+//
+//   - the hot-path pools become mutex-guarded;
+//   - any committee chain this enclave forms (or restores) delivers in
+//     pipelined mode (repl.go), so replicated lane commits append their
+//     ops and withheld effects behind the log's own mutex instead of
+//     emitting a synchronous ReplUpdate that belongs under the wide
+//     lock; replNotify, when set, wakes the host's replication flusher
+//     after an append. The durable log (EnableDurable) is pipelined the
+//     same way, and serving as a committee BACKUP never touches lanes:
+//     mirrors only see replication frames, which are wide-path messages;
+//   - a Config whose features funnel payment commits through shared
+//     state — stable storage's sealed snapshots, outsourcing's command
+//     relay — is refused: such an enclave belongs on a single-threaded
+//     host (the simulator's Node).
+//
+// Must be called before the host spawns any goroutine that can reach
+// the enclave, and before FormCommittee or RestoreDurable.
+func (e *Enclave) EnableConcurrentHost(replNotify func()) error {
+	if e.cfg.StableStorage || e.cfg.AllowOutsource {
+		return errors.New("core: StableStorage and AllowOutsource serialize payments through shared state; a concurrent host cannot run them")
 	}
-	return e.repl == nil || e.repl.log.pipelined
+	e.pools.setShared()
+	e.replPipelined = true
+	e.replNotify = replNotify
+	return nil
 }
 
 // LaneMessage reports whether msg is one of the payment messages
-// HandleLane accepts.
+// HandleLaneBound accepts.
 func LaneMessage(msg wire.Message) bool {
 	switch msg.(type) {
 	case *wire.Pay, *wire.PayAck, *wire.PayNack, *wire.PayBatch, *wire.PayBatchAck:
@@ -88,24 +86,12 @@ func LaneMessage(msg wire.Message) bool {
 	return false
 }
 
-// HandleLane is HandleSealed restricted to the payment fast path,
-// subject to the lane discipline above: freshness-token verification
-// followed by the payment handler, touching only per-peer and
-// per-channel state (plus the shared pools, which lock internally).
-func (e *Enclave) HandleLane(from cryptoutil.PublicKey, token []byte, msg wire.Message) (*Result, error) {
-	s, err := e.session(from)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.transport.Open(token, nil); err != nil {
-		return nil, err
-	}
-	return e.handleLaneVerified(from, msg)
-}
-
-// HandleLaneBound is HandleLane for transports that seal bound tokens
-// (SealTokenBound): the token must authenticate the frame's payload
-// bytes and declared type code in addition to freshness.
+// HandleLaneBound is HandleSealedBound restricted to the payment fast
+// path, subject to the lane discipline above: verification of the bound
+// freshness token (it must authenticate the frame's payload bytes and
+// declared type code) followed by the payment handler, touching only
+// per-peer and per-channel state (plus the shared pools, which lock
+// internally).
 func (e *Enclave) HandleLaneBound(from cryptoutil.PublicKey, token []byte, code byte, payload []byte, msg wire.Message) (*Result, error) {
 	s, err := e.session(from)
 	if err != nil {
@@ -114,12 +100,6 @@ func (e *Enclave) HandleLaneBound(from cryptoutil.PublicKey, token []byte, code 
 	if err := verifyTokenBound(s, token, code, payload); err != nil {
 		return nil, err
 	}
-	return e.handleLaneVerified(from, msg)
-}
-
-// handleLaneVerified dispatches a lane message whose token the caller
-// already verified.
-func (e *Enclave) handleLaneVerified(from cryptoutil.PublicKey, msg wire.Message) (*Result, error) {
 	if e.state.Frozen {
 		return nil, ErrFrozen
 	}
@@ -137,15 +117,4 @@ func (e *Enclave) handleLaneVerified(from cryptoutil.PublicKey, msg wire.Message
 	default:
 		return nil, fmt.Errorf("core: %T is not a lane message", msg)
 	}
-}
-
-// SealTokenAppend is SealToken appending to dst (reslice to dst[:0] to
-// reuse a scratch buffer), for hosts that seal one freshness token per
-// outbound frame on the lane path.
-func (e *Enclave) SealTokenAppend(dst []byte, peer cryptoutil.PublicKey) ([]byte, error) {
-	s, err := e.session(peer)
-	if err != nil {
-		return nil, err
-	}
-	return s.transport.SealAppend(dst, nil, nil), nil
 }

@@ -324,6 +324,9 @@ func (e *Enclave) RestoreDurable(blob []byte, notify func()) (uint64, error) {
 	l.walSeq, l.syncSeq, l.relSeq = img.Seq, img.Seq, img.Seq
 	e.wal = &walState{log: l, gen: e.platform.ReadCounter(e.counterName)}
 	if img.HasRepl {
+		// The restored chain shares the log, so appends must wake the
+		// replication flusher as well as the WAL's.
+		l.notify = bothNotify(notify, e.replNotify)
 		e.repl = &replPrimary{
 			chainID:       img.ChainID,
 			members:       img.Members,

@@ -165,9 +165,8 @@ type Enclave struct {
 	// State.lastCh: concurrent payment lanes of a socket host share it.
 	lastSess atomic.Pointer[peerSession]
 
-	// replPipelined/replNotify record an EnableReplPipeline call made
-	// before committee formation; FormCommittee copies them into the
-	// chain's log.
+	// replPipelined/replNotify record an EnableConcurrentHost call;
+	// FormCommittee and RestoreDurable copy them into the chain's log.
 	replPipelined bool
 	replNotify    func()
 
@@ -409,25 +408,15 @@ func (e *Enclave) establishedSession(peer cryptoutil.PublicKey) *peerSession {
 }
 
 // SealToken produces the freshness/authentication token accompanying a
-// message to peer; VerifyToken checks one on receipt. Hosts call these
-// around every transport send/receive, giving all protocol messages
-// replay protection (§7.1) regardless of transport.
+// message to peer; HandleSealed checks one on receipt. Hosts seal one
+// per transport send, giving all protocol messages replay protection
+// (§7.1) regardless of transport.
 func (e *Enclave) SealToken(peer cryptoutil.PublicKey) ([]byte, error) {
 	s, err := e.session(peer)
 	if err != nil {
 		return nil, err
 	}
 	return s.transport.Seal(nil, nil), nil
-}
-
-// VerifyToken validates a token produced by the peer's SealToken.
-func (e *Enclave) VerifyToken(peer cryptoutil.PublicKey, token []byte) error {
-	s, err := e.session(peer)
-	if err != nil {
-		return err
-	}
-	_, err = s.transport.Open(token, nil)
-	return err
 }
 
 // ErrTokenBinding reports a bound token whose authenticated type code
@@ -442,7 +431,7 @@ var ErrTokenBinding = errors.New("core: frame type does not match token binding"
 // man-in-the-middle can neither rewrite payload bytes (a payment
 // amount) nor relabel a frame's type (Pay and PayAck share a payload
 // shape) without the receiver's verifyTokenBound rejecting it. Appends
-// to dst like SealTokenAppend.
+// to dst (reslice to dst[:0] to reuse a scratch buffer).
 func (e *Enclave) SealTokenBound(dst []byte, peer cryptoutil.PublicKey, code byte, payload []byte) ([]byte, error) {
 	s, err := e.session(peer)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 // keys. All hosts in a deployment share one.
 type Directory struct {
 	byIdentity map[cryptoutil.PublicKey]netsim.NodeID
-	byNode     map[netsim.NodeID]cryptoutil.PublicKey
 	// pools is the deployment-wide hot-path object pool: the directory
 	// is the one structure every node of a deployment shares.
 	pools *hotPools
@@ -28,7 +27,6 @@ type Directory struct {
 func NewDirectory() *Directory {
 	return &Directory{
 		byIdentity: make(map[cryptoutil.PublicKey]netsim.NodeID),
-		byNode:     make(map[netsim.NodeID]cryptoutil.PublicKey),
 		pools:      newHotPools(),
 	}
 }
@@ -36,19 +34,12 @@ func NewDirectory() *Directory {
 // Register binds an identity to a network node.
 func (d *Directory) Register(id cryptoutil.PublicKey, node netsim.NodeID) {
 	d.byIdentity[id] = node
-	d.byNode[node] = id
 }
 
 // NodeOf resolves an identity to its network node.
 func (d *Directory) NodeOf(id cryptoutil.PublicKey) (netsim.NodeID, bool) {
 	n, ok := d.byIdentity[id]
 	return n, ok
-}
-
-// IdentityOf resolves a network node to its enclave identity.
-func (d *Directory) IdentityOf(node netsim.NodeID) (cryptoutil.PublicKey, bool) {
-	id, ok := d.byNode[node]
-	return id, ok
 }
 
 // Envelope is the unit the host transports: a protocol message plus the

@@ -18,7 +18,7 @@
 //     one ReplUpdate frame synchronously and every backup ack releases
 //     exactly one entry, preserving the seed's per-update wire behavior
 //     bit for bit (harness determinism tests pin this);
-//   - pipelined (socket hosts opt in via EnableReplPipeline): commits
+//   - pipelined (socket hosts, via EnableConcurrentHost): commits
 //     only append; a host-side flusher drains the log into ReplBatch
 //     frames (payment ops) and solo ReplUpdate frames (everything
 //     else), pipelining batches down the chain without waiting, bounded
@@ -288,38 +288,23 @@ func (e *Enclave) releaseTo(l *replLog, target uint64, res *Result) {
 	l.mu.Unlock()
 }
 
-// EnableReplPipeline switches this enclave's future replication chain
-// to pipelined delivery: commits append to the log and the host's
-// flusher (notify wakes it) drains batches via ReplNextFlush. Must be
-// called under the host's wide lock before FormCommittee.
-func (e *Enclave) EnableReplPipeline(notify func()) {
-	e.replPipelined = true
-	e.replNotify = notify
-	if e.repl != nil {
-		l := e.repl.log
-		l.pipelined = true
-		if l.durable && l.notify != nil && notify != nil {
-			// Recovered durable committee: the adopted log must wake
-			// both the WAL flusher and the replication flusher.
-			walNotify := l.notify
-			l.notify = func() { walNotify(); notify() }
-		} else {
-			l.notify = notify
-		}
+// bothNotify returns the append notification of a log two flushers
+// drain — the WAL's and the replication chain's: it calls whichever of
+// a and b are set.
+func bothNotify(a, b func()) func() {
+	if a == nil {
+		return b
 	}
-}
-
-// ReplPipelined reports whether the replication chain delivers in
-// pipelined (batched) mode.
-func (e *Enclave) ReplPipelined() bool {
-	return e.repl != nil && e.repl.log.pipelined
+	if b == nil {
+		return a
+	}
+	return func() { a(); b() }
 }
 
 // ReplStats is a snapshot of the replication pipeline, surfaced through
 // the host's "stats committee" control command.
 type ReplStats struct {
 	Chain       string
-	Pipelined   bool
 	NextSeq     uint64 // last committed op
 	FlushSeq    uint64 // last op handed to the transport
 	AckSeq      uint64 // last op acknowledged by the whole chain
@@ -340,7 +325,6 @@ func (e *Enclave) ReplStats() (ReplStats, bool) {
 	l.mu.Lock()
 	st := ReplStats{
 		Chain:       e.repl.chainID,
-		Pipelined:   l.pipelined,
 		NextSeq:     l.nextSeq,
 		FlushSeq:    l.flushSeq,
 		AckSeq:      l.ackSeq,

@@ -182,21 +182,19 @@ func pipelinedPair(t *testing.T) (*directWorld, *Enclave, *Enclave, *Enclave, wi
 	w.connect(owner, m1)
 	w.connect(owner, bob)
 
-	owner.EnableReplPipeline(nil)
+	// What a socket host does at construction: from here on every chain
+	// this enclave forms is pipelined.
+	if err := owner.EnableConcurrentHost(nil); err != nil {
+		t.Fatal(err)
+	}
 	res, err := owner.FormCommittee([]cryptoutil.PublicKey{m1.Identity()}, 2)
 	w.dispatch(owner, res, err)
 	w.pump()
 	if !owner.CommitteeReady() {
 		t.Fatal("committee never became ready")
 	}
-	if !owner.ReplPipelined() {
-		t.Fatal("chain is not pipelined")
-	}
-	if !owner.LaneEligible() {
-		t.Fatal("replicated pipelined enclave must stay lane eligible")
-	}
-	if !m1.LaneEligible() {
-		t.Fatal("committee backup must stay lane eligible")
+	if !owner.repl.log.pipelined {
+		t.Fatal("a concurrent host's chain is not pipelined")
 	}
 
 	// Fund a channel owner->bob through the full approval dance; every
@@ -226,6 +224,29 @@ func pipelinedPair(t *testing.T) (*directWorld, *Enclave, *Enclave, *Enclave, wi
 		t.Fatalf("channel not funded: %+v", c)
 	}
 	return w, owner, m1, bob, id
+}
+
+// TestConcurrentHostRefusesLaneDisqualifyingConfig: the features that
+// funnel payment commits through shared state cannot be combined with
+// concurrent lanes, and the refusal happens at construction — there is
+// no per-message eligibility question left to ask.
+func TestConcurrentHostRefusesLaneDisqualifyingConfig(t *testing.T) {
+	auth, err := tee.NewAuthority("repl-test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, cfg := range map[string]Config{
+		"stable storage": {MinConfirmations: 1, StableStorage: true},
+		"outsourcing":    {MinConfirmations: 1, AllowOutsource: true},
+	} {
+		e, err := NewEnclave(tee.NewPlatform(auth, name), auth.PublicKey(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.EnableConcurrentHost(nil); err == nil {
+			t.Errorf("%s: EnableConcurrentHost accepted a Config that disqualifies lanes", name)
+		}
+	}
 }
 
 func TestPipelinedPaymentsBatchAndReleaseInOrder(t *testing.T) {

@@ -111,19 +111,6 @@ type ChannelState struct {
 	Resuming bool
 }
 
-// TotalDeposits returns the sum of all deposits associated with the
-// channel.
-func (c *ChannelState) TotalDeposits() chain.Amount {
-	var total chain.Amount
-	for _, d := range c.MyDeps {
-		total += d.Value
-	}
-	for _, d := range c.RemoteDeps {
-		total += d.Value
-	}
-	return total
-}
-
 // Neutral reports whether both balances equal their deposits, enabling
 // off-chain termination (Alg. 1, line 106).
 func (c *ChannelState) Neutral() bool {

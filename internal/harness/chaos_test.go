@@ -27,54 +27,59 @@ import (
 	"teechain/internal/wire"
 )
 
-// chaosSeed, when nonzero, replaces the built-in seed list — CI's
-// chaos job sweeps fixed seeds plus one time-derived seed through it.
-var chaosSeed = flag.Int64("seed", 0, "run chaos schedules with this single seed (0 = built-in seeds)")
+// chaosSeed, when nonzero, replaces the built-in seed — CI's chaos job
+// sweeps fixed seeds plus one time-derived seed through it.
+var chaosSeed = flag.Int64("seed", 0, "run chaos schedules with this seed (0 = the built-in seed, 1)")
 
 // chaosOpCount keeps tier-1 schedules short; the CI chaos job runs
 // the same count per seed across many seeds.
 const chaosOpCount = 40
 
-// TestChaosSchedule generates a randomized fault schedule per seed,
-// runs it against a real-TCP cluster with the fault layer active,
-// checks the conservation invariant (both channel endpoints agree,
-// channels sum to their deposits, settled wallets hold exactly what
-// was minted — Run errors otherwise), then replays the identical op
-// sequence fault-free and requires a bit-identical outcome.
-func TestChaosSchedule(t *testing.T) {
-	seeds := []int64{1, 2}
+// runChaosSchedule is the body of the three schedule tests: build the
+// schedule for the seed (1, or -seed), run it against a real-TCP
+// cluster with the fault layer active, check the conservation invariant
+// (both channel endpoints agree, channels sum to their deposits,
+// settled wallets hold exactly what was minted — Run errors otherwise),
+// then replay the identical op sequence fault-free and require a
+// bit-identical outcome. check, when set, inspects the schedule and its
+// outcome further. One seed keeps tier-1 short (seed 2 alone takes 19 s
+// per kind); CI's chaos job sweeps plain seeds 1–20, lossy 1–10 and
+// routed 1–10 through -seed under the race detector. The three kinds
+// share nothing, so they run in parallel.
+func runChaosSchedule(t *testing.T, build func(seed int64) ChaosSchedule, check func(t *testing.T, s ChaosSchedule, got *ChaosReport)) {
+	t.Parallel()
+	seed := int64(1)
 	if *chaosSeed != 0 {
-		seeds = []int64{*chaosSeed}
+		seed = *chaosSeed
 	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := BuildChaosSchedule(seed, chaosOpCount, DefaultChaosTopology())
-			payments, faults := 0, 0
-			for _, op := range s.Ops {
-				if op.IsFault() {
-					faults++
-				} else {
-					payments++
-				}
-			}
-			t.Logf("seed %d: %d ops (%d workload, %d fault)", seed, len(s.Ops), payments, faults)
+	name := t.Name()
+	t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+		s := build(seed)
+		faulted, err := s.Run(true, t.Logf)
+		if err != nil {
+			t.Fatalf("%v (reproduce: go test ./internal/harness -run '^%s$' -seed=%d)", err, name, seed)
+		}
+		clean, err := s.Run(false, t.Logf)
+		if err != nil {
+			t.Fatalf("fault-free replay: %v (seed %d)", err, seed)
+		}
+		if !reflect.DeepEqual(faulted, clean) {
+			t.Fatalf("seed %d: faulted run diverged from fault-free replay:\nfaulted: %+v\nclean:   %+v",
+				seed, faulted, clean)
+		}
+		if check != nil {
+			check(t, s, faulted)
+		}
+		t.Logf("seed %d: %d ops, faulted == fault-free: %+v", seed, len(s.Ops), faulted)
+	})
+}
 
-			faulted, err := s.Run(true, t.Logf)
-			if err != nil {
-				t.Fatalf("%v (reproduce: go test ./internal/harness -run TestChaosSchedule -seed=%d)", err, seed)
-			}
-			clean, err := s.Run(false, t.Logf)
-			if err != nil {
-				t.Fatalf("fault-free replay: %v (seed %d)", err, seed)
-			}
-			if !reflect.DeepEqual(faulted, clean) {
-				t.Fatalf("seed %d: faulted run diverged from fault-free replay:\nfaulted: %+v\nclean:   %+v",
-					seed, faulted, clean)
-			}
-			t.Logf("seed %d: faulted == fault-free: %+v", seed, faulted)
-		})
-	}
+// TestChaosSchedule runs a randomized schedule of payments, multihops,
+// partitions, kills and restarts.
+func TestChaosSchedule(t *testing.T) {
+	runChaosSchedule(t, func(seed int64) ChaosSchedule {
+		return BuildChaosSchedule(seed, chaosOpCount, DefaultChaosTopology())
+	}, nil)
 }
 
 // TestChaosScheduleLossy is TestChaosSchedule with lossy committee
@@ -84,29 +89,9 @@ func TestChaosSchedule(t *testing.T) {
 // retransmit + stall watchdog) recovers everything, Run fails any
 // frozen chain, and the fault-free replay must be bit-identical.
 func TestChaosScheduleLossy(t *testing.T) {
-	seeds := []int64{1, 2}
-	if *chaosSeed != 0 {
-		seeds = []int64{*chaosSeed}
-	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := BuildLossyChaosSchedule(seed, chaosOpCount, DefaultChaosTopology())
-			faulted, err := s.Run(true, t.Logf)
-			if err != nil {
-				t.Fatalf("%v (reproduce: go test ./internal/harness -run TestChaosScheduleLossy -seed=%d)", err, seed)
-			}
-			clean, err := s.Run(false, t.Logf)
-			if err != nil {
-				t.Fatalf("fault-free replay: %v (seed %d)", err, seed)
-			}
-			if !reflect.DeepEqual(faulted, clean) {
-				t.Fatalf("seed %d: lossy run diverged from fault-free replay:\nfaulted: %+v\nclean:   %+v",
-					seed, faulted, clean)
-			}
-			t.Logf("seed %d: lossy == fault-free: %+v", seed, faulted)
-		})
-	}
+	runChaosSchedule(t, func(seed int64) ChaosSchedule {
+		return BuildLossyChaosSchedule(seed, chaosOpCount, DefaultChaosTopology())
+	}, nil)
 }
 
 // TestChaosScheduleRouted swaps the explicit-path multihops for routed
@@ -115,43 +100,22 @@ func TestChaosScheduleLossy(t *testing.T) {
 // and the fee-aware analytic model must still balance exactly — under
 // faults and in the fault-free replay, bit-identically.
 func TestChaosScheduleRouted(t *testing.T) {
-	seeds := []int64{1, 2}
-	if *chaosSeed != 0 {
-		seeds = []int64{*chaosSeed}
-	}
-	for _, seed := range seeds {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			s := BuildRoutedChaosSchedule(seed, chaosOpCount, RoutedChaosTopology())
-			routed := 0
-			for _, op := range s.Ops {
-				if op.Kind == OpRoutedPay {
-					routed++
-				}
+	runChaosSchedule(t, func(seed int64) ChaosSchedule {
+		return BuildRoutedChaosSchedule(seed, chaosOpCount, RoutedChaosTopology())
+	}, func(t *testing.T, s ChaosSchedule, got *ChaosReport) {
+		routed := 0
+		for _, op := range s.Ops {
+			if op.Kind == OpRoutedPay {
+				routed++
 			}
-			t.Logf("seed %d: %d ops (%d routed)", seed, len(s.Ops), routed)
-
-			faulted, err := s.Run(true, t.Logf)
-			if err != nil {
-				t.Fatalf("%v (reproduce: go test ./internal/harness -run TestChaosScheduleRouted -seed=%d)", err, seed)
-			}
-			clean, err := s.Run(false, t.Logf)
-			if err != nil {
-				t.Fatalf("fault-free replay: %v (seed %d)", err, seed)
-			}
-			if !reflect.DeepEqual(faulted, clean) {
-				t.Fatalf("seed %d: routed run diverged from fault-free replay:\nfaulted: %+v\nclean:   %+v",
-					seed, faulted, clean)
-			}
-			if faulted.RoutedPays != routed {
-				t.Fatalf("seed %d: %d routed payments completed, schedule holds %d", seed, faulted.RoutedPays, routed)
-			}
-			if routed > 0 && faulted.RoutedFees == 0 {
-				t.Fatalf("seed %d: routed payments paid no fees; the fee model was not exercised", seed)
-			}
-			t.Logf("seed %d: routed == fault-free: %+v", seed, faulted)
-		})
-	}
+		}
+		if got.RoutedPays != routed {
+			t.Fatalf("%d routed payments completed, schedule holds %d", got.RoutedPays, routed)
+		}
+		if routed > 0 && got.RoutedFees == 0 {
+			t.Fatal("routed payments paid no fees; the fee model was not exercised")
+		}
+	})
 }
 
 // newRawPair builds two plain transport hosts (no fault layer) with b

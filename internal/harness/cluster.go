@@ -56,8 +56,8 @@ func NewCluster(names ...string) (*Cluster, error) {
 
 // NewClusterWith is NewCluster with a per-host Config hook, applied
 // after the defaults (name, authority, chain) are filled in — the
-// replication benchmark uses it to disable pipelined replication for
-// its per-payment-round-trip baseline.
+// benchmark program uses it to give one host a data directory or every
+// host its fee policy, the overload suite to shrink admission budgets.
 func NewClusterWith(mut func(*transport.Config), names ...string) (*Cluster, error) {
 	auth, err := tee.NewAuthority("cluster")
 	if err != nil {

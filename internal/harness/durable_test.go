@@ -58,9 +58,6 @@ func TestDurableKillRestartRecovers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Host.PaymentsWide != 0 {
-			t.Fatalf("%d payments fell off the lane fast path pre-crash", st.Host.PaymentsWide)
-		}
 		if st.Host.PaymentsAcked >= 50 {
 			break
 		}
@@ -127,17 +124,9 @@ func TestDurableKillRestartRecovers(t *testing.T) {
 		t.Fatalf("conservation violated: %d + %d != 100000", oMine, oRemote)
 	}
 
-	// Payments flow again — through the resynced committee and the WAL
-	// — and stay on the lane fast path.
+	// Payments flow again — through the resynced committee and the WAL.
 	if err := owner.Pay(chID, 5, 100); err != nil {
 		t.Fatal(err)
-	}
-	st, err := owner.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Host.PaymentsWide != 0 {
-		t.Fatalf("%d payments fell off the lane fast path post-recovery", st.Host.PaymentsWide)
 	}
 	ws, err = owner.WalStats()
 	if err != nil {

@@ -108,13 +108,6 @@ func (m *Manager) AttachPeer(id cryptoutil.PublicKey) {
 	}
 }
 
-// DetachPeer removes a peer and its queue.
-func (m *Manager) DetachPeer(id cryptoutil.PublicKey) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.peers, id)
-}
-
 // Handle folds a received announcement into the graph and, when it was
 // fresh, queues it for re-broadcast to every attached peer except the
 // one it arrived from. It reports whether the graph changed — and so

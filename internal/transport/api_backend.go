@@ -64,7 +64,7 @@ func classify(err error) error {
 		// Before ErrTimeout: a deadline abandoned while shedding is
 		// typed as backpressure, and it carries the retry hint.
 		code = api.CodeOverloaded
-		retry, _ = OverloadRetryMillis(err)
+		retry = retryHintMillis
 	case errors.Is(err, ErrTimeout):
 		code = api.CodeTimeout
 	case errors.Is(err, ErrChainUnavailable):
@@ -270,7 +270,6 @@ func (b apiBackend) Stats() api.StatsResp {
 		Drops:            st.Drops,
 		Reconnects:       st.Reconnects,
 		FramesRejected:   st.FramesRejected,
-		PaymentsWide:     st.PaymentsWide,
 		PaymentsRejected: st.PaymentsRejected,
 		PaymentsInflight: st.PaymentsInflight,
 		ShedStarts:       st.ShedStarts,
@@ -294,7 +293,6 @@ func (b apiBackend) Stats() api.StatsResp {
 		resp.HasCommittee = true
 		resp.Committee = api.CommitteeStatsEntry{
 			Chain:      cst.Chain,
-			Pipelined:  cst.Pipelined,
 			NextSeq:    cst.NextSeq,
 			FlushSeq:   cst.FlushSeq,
 			AckSeq:     cst.AckSeq,

@@ -488,8 +488,8 @@ func shimStats(h *api.Handler, args []string) (string, error) {
 		if c.Chain == "" {
 			return fmt.Sprintf("mirrors=%d", c.Mirrors), nil
 		}
-		return fmt.Sprintf("chain=%s pipelined=%t next=%d flushed=%d acked=%d queued=%d window=%d batches_out=%d ops_out=%d mirrors=%d stalled=%t stalls=%d",
-			c.Chain, c.Pipelined, c.NextSeq, c.FlushSeq, c.AckSeq, c.Queued, c.Window,
+		return fmt.Sprintf("chain=%s next=%d flushed=%d acked=%d queued=%d window=%d batches_out=%d ops_out=%d mirrors=%d stalled=%t stalls=%d",
+			c.Chain, c.NextSeq, c.FlushSeq, c.AckSeq, c.Queued, c.Window,
 			c.BatchesOut, c.OpsOut, c.Mirrors, c.Stalled, c.Stalls), nil
 	}
 	if len(args) == 1 && args[0] == "channels" {

@@ -22,8 +22,10 @@
 // the per-peer lane lock of the one peer involved, so payments on
 // channels with different peers proceed in parallel across cores while
 // payments sharing a peer stay serialized (their session freshness
-// counters demand it). Stats are per-channel/per-peer atomics, so
-// neither counting nor Stats() serializes the lanes.
+// counters demand it). Lanes are the only way a Host pays: NewHost
+// establishes what they need (core.Enclave.EnableConcurrentHost), so no
+// message asks whether it may take one. Stats are per-channel/per-peer
+// atomics, so neither counting nor Stats() serializes the lanes.
 package transport
 
 import (
@@ -73,11 +75,6 @@ type Config struct {
 	WalletSeed string
 	// MinConfirmations is the deposit approval policy (default 1).
 	MinConfirmations uint64
-	// QueueDepth bounds each peer's outbound frame queue (default 1024).
-	QueueDepth int
-	// RedialMin/RedialMax bound the reconnect backoff (defaults
-	// 25 ms / 1 s).
-	RedialMin, RedialMax time.Duration
 	// RedialJitter spreads each backoff sleep uniformly over
 	// [(1-j)·d, d], so peers cut off by the same event (a partition
 	// healing, a hub restarting) do not redial in lockstep. 0 means the
@@ -96,25 +93,6 @@ type Config struct {
 	// connections on quiet links. Off by default; the chaos harness
 	// enables it.
 	ReadIdleTimeout time.Duration
-	// NoReplPipeline disables batched, pipelined committee replication:
-	// FormCommittee then runs the chain in immediate mode — one
-	// synchronous ReplUpdate round trip per commit, payments on the wide
-	// path — which is the measured baseline the replication benchmark
-	// compares against.
-	NoReplPipeline bool
-	// ReplBatchOps caps the ops one ReplBatch frame carries (default
-	// 512, bounded by wire.MaxReplBatch).
-	ReplBatchOps int
-	// ReplWindowOps bounds flushed-but-unacknowledged replication ops —
-	// the pipelining window. Defaults to QueueDepth: each in-flight op
-	// withholds at most one outbound frame, so a cumulative ack can
-	// then never release more frames than an empty peer queue admits
-	// (released frames have no retransmit; overflowing the queue with
-	// them would diverge host-level state).
-	ReplWindowOps int
-	// ReplFlushInterval is the replication flusher's safety tick; size
-	// kicks normally wake it much sooner (default 2 ms).
-	ReplFlushInterval time.Duration
 	// DataDir, when set, makes the host durable: committed state is
 	// group-committed to a write-ahead log in this directory, sealed
 	// snapshots bound to a persistent monotonic counter replace it
@@ -123,16 +101,6 @@ type Config struct {
 	// Empty means in-memory only (the default, and the pre-durability
 	// behavior).
 	DataDir string
-	// WalBatchOps caps the ops one WAL record (one fsync) covers
-	// (default 512) — the group-commit batch size.
-	WalBatchOps int
-	// WalFlushInterval is the WAL flusher's safety tick; size kicks
-	// normally wake it much sooner (default 2 ms).
-	WalFlushInterval time.Duration
-	// SnapshotInterval is the periodic snapshot cadence (default 30 s;
-	// negative disables periodic snapshots, leaving only the boot
-	// snapshot and explicit SnapshotNow calls).
-	SnapshotInterval time.Duration
 	// MaxInflightPerChannel bounds issued-but-unsettled payments per
 	// channel; issues beyond it are rejected with ErrOverloaded before
 	// any balance moves (default 65536; negative disables).
@@ -143,24 +111,12 @@ type Config struct {
 	// connection cannot starve the rest (default 262144; negative
 	// disables).
 	MaxInflightTotal int
-	// RetryHintMillis is the backoff hint stamped on every overload
-	// rejection (api.RetryAfterMillis; default 5).
-	RetryHintMillis int
-	// AckDeadline, when positive, caps every payment-settle wait
-	// (AwaitAcked, AwaitChannelSettled) regardless of the caller's
-	// timeout; a capped wait that expires while the host is shedding
-	// fails with ErrOverloaded instead of ErrTimeout. Off by default.
-	AckDeadline time.Duration
-	// ColdDeadline, when positive, caps every cold-operation wait
-	// (attestation, channel open, deposit approval, multihop, recovery)
-	// the same way. Off by default.
-	ColdDeadline time.Duration
 	// ReplStallTicks is how many consecutive flusher ticks the committee
 	// ack cursor may sit still with ops queued or in flight before the
 	// watchdog declares the chain stalled — emitting EvReplStalled,
 	// raising CommitteeStats.Stalled, and on durable hosts kicking
-	// ReplResync to self-heal (default 250 ticks ≈ 500 ms at the default
-	// flush interval; negative disables the watchdog).
+	// ReplResync to self-heal (default 250 ticks ≈ 500 ms at the 2 ms
+	// flush tick; negative disables the watchdog).
 	ReplStallTicks int
 	// FeeBase and FeeRatePPM set the node's forwarding fee policy: Base
 	// plus amount*RatePPM/1_000_000 (truncated) per multihop payment
@@ -170,11 +126,6 @@ type Config struct {
 	// forwarding (the default and the legacy behavior).
 	FeeBase    chain.Amount
 	FeeRatePPM uint32
-	// OnEvent, when set, observes every enclave event after built-in
-	// handling. Called with the wide lock held for cold-path events and
-	// with a lane lock held for payment events; do not call back into
-	// the host.
-	OnEvent func(core.Event)
 	// Logf, when set, receives host diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -197,9 +148,10 @@ type Stats struct {
 	// routine duplicates of post-reconnect tail re-sends), and messages
 	// from peers without a session.
 	FramesRejected uint64
-	// PaymentsWide counts payments that took the wide-lock fallback
-	// instead of a lane — the fast-path regression canary: a durable
-	// or replicated host under load should keep this at zero.
+	// PaymentsWide is always zero: a Host has no wide-lock payment
+	// path. The field exists only because the benchmark program reads
+	// it (bench/metrics.go, transport.wide_share), and goes when the
+	// benchmark drops that metric.
 	PaymentsWide uint64
 	// PaymentsRejected counts payments refused at admission
 	// (ErrOverloaded). Rejected payments never touched a balance.
@@ -325,11 +277,9 @@ type Host struct {
 
 	// observers fan enclave events out to control-plane subscribers
 	// (Observe). Copy-on-write: the hot path pays one atomic load when
-	// nobody subscribed. eventFn is the prebuilt OnEvent+observer fan,
-	// so lane dispatch does not allocate a closure per result.
+	// nobody subscribed.
 	obsMu     sync.Mutex
 	observers atomic.Pointer[[]*eventObserver]
-	eventFn   func(core.Event)
 
 	// Replication flusher plumbing (see repl.go). replRunning is
 	// guarded by mu; the counters are flusher-private writes, atomic so
@@ -360,10 +310,6 @@ type Host struct {
 	recovering   atomic.Bool
 	resumedChans map[wire.ChannelID]bool
 	resynced     bool
-
-	// wideTotal counts payments that fell back to the wide path
-	// (Stats.PaymentsWide).
-	wideTotal atomic.Uint64
 
 	// Overload-control state (overload.go): the global admitted-but-
 	// unsettled gauge, the shedding hysteresis flip-flop, admission
@@ -400,15 +346,6 @@ func NewHost(cfg Config) (*Host, error) {
 	if cfg.MinConfirmations == 0 {
 		cfg.MinConfirmations = 1
 	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 1024
-	}
-	if cfg.RedialMin <= 0 {
-		cfg.RedialMin = 25 * time.Millisecond
-	}
-	if cfg.RedialMax <= cfg.RedialMin {
-		cfg.RedialMax = time.Second
-	}
 	switch {
 	case cfg.RedialJitter == 0:
 		cfg.RedialJitter = defaultRedialJitter
@@ -417,32 +354,11 @@ func NewHost(cfg Config) (*Host, error) {
 	case cfg.RedialJitter > 1:
 		cfg.RedialJitter = 1
 	}
-	if cfg.ReplBatchOps <= 0 || cfg.ReplBatchOps > wire.MaxReplBatch {
-		cfg.ReplBatchOps = defaultReplBatchOps
-	}
-	if cfg.ReplWindowOps <= 0 {
-		cfg.ReplWindowOps = cfg.QueueDepth
-	}
-	if cfg.ReplFlushInterval <= 0 {
-		cfg.ReplFlushInterval = defaultReplFlushPeriod
-	}
-	if cfg.WalBatchOps <= 0 {
-		cfg.WalBatchOps = defaultWalBatchOps
-	}
-	if cfg.WalFlushInterval <= 0 {
-		cfg.WalFlushInterval = defaultWalFlushPeriod
-	}
-	if cfg.SnapshotInterval == 0 {
-		cfg.SnapshotInterval = defaultSnapshotPeriod
-	}
 	if cfg.MaxInflightPerChannel == 0 {
 		cfg.MaxInflightPerChannel = defaultMaxInflightPerChannel
 	}
 	if cfg.MaxInflightTotal == 0 {
 		cfg.MaxInflightTotal = defaultMaxInflightTotal
-	}
-	if cfg.RetryHintMillis <= 0 {
-		cfg.RetryHintMillis = defaultRetryHintMillis
 	}
 	if cfg.ReplStallTicks == 0 {
 		cfg.ReplStallTicks = defaultReplStallTicks
@@ -459,9 +375,6 @@ func NewHost(cfg Config) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Payment lanes run concurrently; the enclave's pools must lock.
-	// No goroutine exists yet, so this is safely ordered before all use.
-	enclave.EnableConcurrentHost()
 	if err := enclave.SetFeePolicy(route.FeePolicy{Base: cfg.FeeBase, RatePPM: cfg.FeeRatePPM}); err != nil {
 		return nil, err
 	}
@@ -484,11 +397,13 @@ func NewHost(cfg Config) (*Host, error) {
 	}
 	h.resumedChans = make(map[wire.ChannelID]bool)
 	h.ackCond = sync.NewCond(&h.ackMu)
-	h.eventFn = func(ev core.Event) {
-		if h.cfg.OnEvent != nil {
-			h.cfg.OnEvent(ev)
-		}
-		h.fanObservers(ev)
+	// Payment lanes run concurrently: the pools lock, every chain this
+	// enclave forms or restores is pipelined, and a core.Config that
+	// would force payments off the lanes is refused — once, here, so
+	// neither payOn nor handleLaneFrame asks per message. No goroutine
+	// exists yet, so this is safely ordered before all use.
+	if err := enclave.EnableConcurrentHost(h.kickRepl); err != nil {
+		return nil, err
 	}
 	if cfg.DataDir != "" {
 		if err := h.initDurable(platform); err != nil {
@@ -504,10 +419,10 @@ type eventObserver struct {
 }
 
 // Observe registers fn to receive every enclave event this host
-// handles (plus transport-level events like EvReplCursor). Like
-// Config.OnEvent, fn runs with the wide lock held for cold-path events
-// and a lane lock held for payment events: it must not block or call
-// back into the host. The returned cancel unregisters fn.
+// handles (plus transport-level events like EvReplCursor). fn runs with
+// the wide lock held for cold-path events and a lane lock held for
+// payment events: it must not block or call back into the host. The
+// returned cancel unregisters fn.
 func (h *Host) Observe(fn func(core.Event)) (cancel func()) {
 	ob := &eventObserver{fn: fn}
 	h.obsMu.Lock()
@@ -576,7 +491,6 @@ func (h *Host) Stats() Stats {
 		Drops:            h.drops.Load(),
 		Reconnects:       h.reconnects.Load(),
 		FramesRejected:   h.rejects.Load(),
-		PaymentsWide:     h.wideTotal.Load(),
 		PaymentsRejected: h.admitRejects.Load(),
 		ShedStarts:       h.shedStarts.Load(),
 		Shedding:         h.shedding.Load(),
@@ -873,9 +787,9 @@ func (h *Host) handleFrame(ch connHandle, p *peer, f wire.Frame) {
 }
 
 // handleLaneFrame is the payment fast path: wide lock in read mode plus
-// the sender's lane lock. Returns false when the frame must take the
-// wide path instead (unknown peer, or the enclave is running a feature
-// that disqualifies lanes — see core.LaneEligible).
+// the sender's lane lock. Returns false when the frame's sender has no
+// peer record yet, so there is no lane to take: the cold path then
+// authenticates it and adopts its connection (see handleWideFrame).
 func (h *Host) handleLaneFrame(f wire.Frame) bool {
 	h.mu.RLock()
 	if h.closed {
@@ -883,7 +797,7 @@ func (h *Host) handleLaneFrame(f wire.Frame) bool {
 		return true // drop
 	}
 	p := h.peersByID[f.From]
-	if p == nil || !h.enclave.LaneEligible() {
+	if p == nil {
 		h.mu.RUnlock()
 		return false
 	}
@@ -934,12 +848,12 @@ func (h *Host) dispatchLane(p *peer, res *core.Result) {
 		h.receivedTotal.Add(uint64(out.Count))
 	}
 	if res.HasEvents() {
-		// Lane-eligible payment handlers produce no boxed events; seeing
-		// one means the eligibility gate and the handlers disagree.
+		// Payment handlers produce no boxed events; seeing one means a
+		// handler left the lane discipline.
 		h.logf("%s: unexpected boxed events on lane path", h.cfg.Name)
 	}
-	if h.cfg.OnEvent != nil || h.observers.Load() != nil {
-		res.ForEachEvent(h.eventFn)
+	if h.observers.Load() != nil {
+		res.ForEachEvent(h.fanObservers)
 	}
 	h.enclave.RecycleResult(res)
 }
@@ -1015,8 +929,8 @@ func (h *Host) wakeAckWaiters() {
 
 // handleWideFrame is the cold frame path, serialized under the wide
 // lock: hellos, attestation, channel lifecycle, deposits, multi-hop,
-// replication, settlement — plus payment frames whenever lanes are
-// ineligible (replication, stable storage, outsourcing).
+// replication, settlement — plus a payment frame whose sender has no
+// peer record yet (its connection is adopted below).
 func (h *Host) handleWideFrame(ch connHandle, p *peer, f wire.Frame) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -1297,6 +1211,14 @@ func (h *Host) handleEventLocked(ev core.Event) {
 	case core.EvMultihopArrived:
 		h.receivedTotal.Add(uint64(e.Count))
 	case core.EvMultihopComplete:
+		// Counted before the caller is woken: Stats reads the counters
+		// without the wide lock, and a caller that asks right after its
+		// payment returned must find it counted.
+		if e.OK {
+			h.mhOK.Add(1)
+		} else {
+			h.mhFailed.Add(1)
+		}
 		// A verdict nobody waits for (the caller timed out, or a stray
 		// abort named a payment we never started) is only counted.
 		// Removing the entry here is what makes a repeated verdict
@@ -1305,11 +1227,6 @@ func (h *Host) handleEventLocked(ev core.Event) {
 			delete(h.mh, e.Payment)
 			o.ok, o.reason, o.transient = e.OK, e.Reason, e.Transient
 			close(o.done)
-		}
-		if e.OK {
-			h.mhOK.Add(1)
-		} else {
-			h.mhFailed.Add(1)
 		}
 	case core.EvSettlementReady:
 		if e.Tx != nil {
@@ -1327,7 +1244,7 @@ func (h *Host) handleEventLocked(ev core.Event) {
 		h.resynced = true
 		h.replStalled.Store(false)
 	}
-	h.eventFn(ev)
+	h.fanObservers(ev)
 }
 
 func (h *Host) channelLocked(id wire.ChannelID) *channelInfo {
@@ -1364,7 +1281,7 @@ func (h *Host) newPeerLocked(addr string) *peer {
 	p := &peer{
 		h:          h,
 		addr:       addr,
-		outbox:     make(chan []byte, h.cfg.QueueDepth),
+		outbox:     make(chan []byte, outboxDepth),
 		connCh:     make(chan connHandle, 1),
 		quit:       make(chan struct{}),
 		writerDone: make(chan struct{}),
@@ -1450,12 +1367,11 @@ func (h *Host) ResolveIdentity(s string) (cryptoutil.PublicKey, error) {
 
 // await polls pred (under the wide lock) until it returns true or the
 // timeout expires. Cold-path only; the payment ack wait has its own
-// condition-variable path (AwaitAcked). Config.ColdDeadline caps the
-// caller's timeout, and expiry while the host is shedding admissions
-// reports ErrOverloaded — the wait most likely lost to load, not to a
-// dead peer — so clients back off instead of retrying hot.
+// condition-variable path (AwaitAcked). Expiry while the host is
+// shedding admissions reports ErrOverloaded — the wait most likely lost
+// to load, not to a dead peer — so clients back off instead of retrying
+// hot.
 func (h *Host) await(timeout time.Duration, what string, pred func() bool) error {
-	timeout = clampDeadline(timeout, h.cfg.ColdDeadline)
 	deadline := time.Now().Add(timeout)
 	for {
 		if h.closing.Load() {
@@ -1477,18 +1393,9 @@ func (h *Host) await(timeout time.Duration, what string, pred func() bool) error
 // timeoutErr is the error of a cold wait that ran out of time.
 func (h *Host) timeoutErr(what string) error {
 	if h.shedding.Load() {
-		return overloadErrorf(h.retryHint(), "%s: gave up waiting for %s", h.cfg.Name, what)
+		return h.overloadErrorf("gave up waiting for %s", what)
 	}
 	return fmt.Errorf("%w: %s: waiting for %s", ErrTimeout, h.cfg.Name, what)
-}
-
-// clampDeadline caps a caller timeout by a configured per-op deadline
-// (0 leaves it alone).
-func clampDeadline(timeout, limit time.Duration) time.Duration {
-	if limit > 0 && (timeout <= 0 || timeout > limit) {
-		return limit
-	}
-	return timeout
 }
 
 // Attest performs mutual remote attestation with a named peer and
@@ -1643,28 +1550,21 @@ func (h *Host) PayBatchTracked(chID wire.ChannelID, amounts []chain.Amount) (Pay
 	return h.pay(chID, 0, amounts)
 }
 
-// enclavePay issues the enclave call for pay/payWide: one payment of
-// amount when amounts is nil, otherwise the batch. (A closure would
-// capture its arguments onto the heap once per payment.)
-func (h *Host) enclavePay(chID wire.ChannelID, amount chain.Amount, amounts []chain.Amount) (*core.Result, error) {
-	if amounts == nil {
-		return h.enclave.Pay(chID, amount, 1)
-	}
-	return h.enclave.PayBatch(chID, amounts)
-}
-
 // pay is the shared payment entry for the un-shared (direct Host)
 // issuers; payOn is the full path.
 func (h *Host) pay(chID wire.ChannelID, amount chain.Amount, amounts []chain.Amount) (PayMark, error) {
 	return h.payOn(nil, chID, amount, amounts)
 }
 
-// payOn is the shared payment entry: lane fast path when the channel's
-// peer is known and lanes are eligible, wide-lock fallback otherwise.
-// Admission (overload.go) is checked under the same lock that orders
-// the issue, BEFORE the enclave applies anything — a rejected payment
-// never debits. The returned PayMark is read under that lock too, so
-// it is exact even with concurrent issuers on the channel.
+// payOn is the shared payment entry: one payment of amount when amounts
+// is nil, otherwise the batch, on the lane of the channel's peer. A
+// channel whose peer has no record (it never said hello to this
+// process) has no lane and no connection to carry the frame: the
+// payment is refused with ErrUnknownPeer. That check and admission
+// (overload.go) come BEFORE the enclave applies anything — a rejected
+// payment never debits. Admission is checked, and the returned PayMark
+// read, under the lane lock that orders the issue, so both are exact
+// even with concurrent issuers on the channel.
 func (h *Host) payOn(pi *PayIssuer, chID wire.ChannelID, amount chain.Amount, amounts []chain.Amount) (PayMark, error) {
 	count := uint64(1)
 	if amounts != nil {
@@ -1684,9 +1584,9 @@ func (h *Host) payOn(pi *PayIssuer, chID wire.ChannelID, amount chain.Amount, am
 		return PayMark{}, fmt.Errorf("%w %s", ErrUnknownChannel, chID)
 	}
 	p := h.peersByID[ci.peer]
-	if p == nil || !h.enclave.LaneEligible() {
+	if p == nil {
 		h.mu.RUnlock()
-		return h.payWide(pi, chID, amount, amounts, count)
+		return PayMark{}, fmt.Errorf("%w: no connection to the peer of channel %s", ErrUnknownPeer, chID)
 	}
 	p.lane.Lock()
 	if err := h.admitPay(ci, pi, count); err != nil {
@@ -1695,7 +1595,13 @@ func (h *Host) payOn(pi *PayIssuer, chID wire.ChannelID, amount chain.Amount, am
 		return PayMark{}, err
 	}
 	nackedBefore := ci.nacked.Load()
-	res, err := h.enclavePay(chID, amount, amounts)
+	var res *core.Result
+	var err error
+	if amounts == nil {
+		res, err = h.enclave.Pay(chID, amount, 1)
+	} else {
+		res, err = h.enclave.PayBatch(chID, amounts)
+	}
 	if err != nil {
 		h.unadmitPay(pi, count)
 		p.lane.Unlock()
@@ -1707,34 +1613,6 @@ func (h *Host) payOn(pi *PayIssuer, chID wire.ChannelID, amount chain.Amount, am
 	h.dispatchLane(p, res)
 	p.lane.Unlock()
 	h.mu.RUnlock()
-	return mark, nil
-}
-
-// payWide is pay under the wide lock, used while lanes are ineligible
-// (replication, stable storage, outsourcing active).
-func (h *Host) payWide(pi *PayIssuer, chID wire.ChannelID, amount chain.Amount, amounts []chain.Amount, count uint64) (PayMark, error) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return PayMark{}, ErrClosed
-	}
-	ci := h.channels[chID]
-	if ci == nil {
-		return PayMark{}, fmt.Errorf("%w %s", ErrUnknownChannel, chID)
-	}
-	if err := h.admitPay(ci, pi, count); err != nil {
-		return PayMark{}, err
-	}
-	nackedBefore := ci.nacked.Load()
-	res, err := h.enclavePay(chID, amount, amounts)
-	if err != nil {
-		h.unadmitPay(pi, count)
-		return PayMark{}, err
-	}
-	mark := PayMark{Target: ci.sent.Add(count), NackedBefore: nackedBefore}
-	h.sentTotal.Add(count)
-	h.wideTotal.Add(count)
-	h.dispatchLocked(res)
 	return mark, nil
 }
 
@@ -1787,16 +1665,14 @@ func (h *Host) AwaitChannelSettled(chID wire.ChannelID, target uint64, timeout t
 
 // awaitAckCond sleeps on the ack condition variable until done holds,
 // the timeout expires, or the host closes. The ack and nack paths
-// signal it — no polling. Config.AckDeadline caps the caller's
-// timeout, and expiry while the host is shedding admissions reports
-// ErrOverloaded instead of ErrTimeout (typed backpressure: the acks
-// are late because the host is saturated, so the right client response
-// is back-off, not a hot retry).
+// signal it — no polling. Expiry while the host is shedding admissions
+// reports ErrOverloaded instead of ErrTimeout (typed backpressure: the
+// acks are late because the host is saturated, so the right client
+// response is back-off, not a hot retry).
 func (h *Host) awaitAckCond(timeout time.Duration, done func() bool, what func() string) error {
 	if done() {
 		return nil
 	}
-	timeout = clampDeadline(timeout, h.cfg.AckDeadline)
 	h.ackWaiters.Add(1)
 	defer h.ackWaiters.Add(-1)
 	deadline := time.Now().Add(timeout)
@@ -1816,7 +1692,7 @@ func (h *Host) awaitAckCond(timeout time.Duration, done func() bool, what func()
 		}
 		if time.Now().After(deadline) {
 			if h.shedding.Load() {
-				return overloadErrorf(h.retryHint(), "%s: gave up waiting for %s", h.cfg.Name, what())
+				return h.overloadErrorf("gave up waiting for %s", what())
 			}
 			return fmt.Errorf("%w: %s: waiting for %s", ErrTimeout, h.cfg.Name, what())
 		}

@@ -30,42 +30,22 @@ import (
 const (
 	defaultMaxInflightPerChannel = 1 << 15
 	defaultMaxInflightTotal      = 1 << 16
-	defaultRetryHintMillis       = 5
 )
+
+// retryHintMillis is the backoff hint that goes with every overload
+// rejection (api.Error.RetryAfterMillis, EvOverload).
+const retryHintMillis = 5
 
 // ErrOverloaded reports a payment refused at admission (budget
 // exhausted) or a wait abandoned while the host is shedding. Rejected
 // payments were never applied: no balance moved, no sequence number was
 // consumed. Callers should back off and retry; the control plane maps
-// this to api.CodeOverloaded with a RetryAfterMillis hint.
+// this to api.CodeOverloaded with the retryHintMillis hint.
 var ErrOverloaded = errors.New("transport: overloaded")
 
-// overloadError carries the retry hint with the sentinel.
-type overloadError struct {
-	retryMillis uint32
-	msg         string
-}
-
-func (e *overloadError) Error() string            { return e.msg }
-func (e *overloadError) Is(target error) bool     { return target == ErrOverloaded }
-func (e *overloadError) RetryAfterMillis() uint32 { return e.retryMillis }
-
-// overloadErrorf builds a typed overload error with a retry hint.
-func overloadErrorf(retryMillis uint32, format string, args ...any) error {
-	return &overloadError{retryMillis: retryMillis, msg: "transport: overloaded: " + fmt.Sprintf(format, args...)}
-}
-
-// OverloadRetryMillis extracts the retry hint from an overload error
-// (0, false when err is not one).
-func OverloadRetryMillis(err error) (uint32, bool) {
-	var oe *overloadError
-	if errors.As(err, &oe) {
-		return oe.retryMillis, true
-	}
-	if errors.Is(err, ErrOverloaded) {
-		return 0, true
-	}
-	return 0, false
+// overloadErrorf builds an ErrOverloaded naming this host and a reason.
+func (h *Host) overloadErrorf(format string, args ...any) error {
+	return fmt.Errorf("%w: %s: "+format, append([]any{ErrOverloaded, h.cfg.Name}, args...)...)
 }
 
 // EvOverload is the transport-level event observers receive when the
@@ -83,9 +63,6 @@ type EvReplStalled struct {
 	Chain  string
 	AckSeq uint64
 }
-
-// retryHint returns the configured RetryAfterMillis admission hint.
-func (h *Host) retryHint() uint32 { return uint32(h.cfg.RetryHintMillis) }
 
 // channelInflight computes a channel's issued-but-unsettled payment
 // count from its lane counters. Signed and clamped: a recovered host
@@ -144,9 +121,9 @@ func (h *Host) rejectPay(count uint64, format string, args ...any) error {
 	h.admitRejects.Add(count)
 	if h.shedding.CompareAndSwap(false, true) {
 		h.shedStarts.Add(1)
-		h.fanObservers(EvOverload{Shedding: true, RetryAfterMillis: h.retryHint()})
+		h.fanObservers(EvOverload{Shedding: true, RetryAfterMillis: retryHintMillis})
 	}
-	return overloadErrorf(h.retryHint(), "%s: "+format, append([]any{h.cfg.Name}, args...)...)
+	return h.overloadErrorf(format, args...)
 }
 
 // payReleased credits the global in-flight gauge as payments settle

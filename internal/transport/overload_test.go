@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"teechain/internal/api"
 	"teechain/internal/chain"
 	"teechain/internal/core"
 	"teechain/internal/tee"
@@ -81,8 +82,9 @@ func TestOverloadChannelBudget(t *testing.T) {
 	if !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("payment past budget: got %v, want ErrOverloaded", err)
 	}
-	if ms, ok := OverloadRetryMillis(err); !ok || ms != defaultRetryHintMillis {
-		t.Fatalf("retry hint: got %d,%t, want %d,true", ms, ok, defaultRetryHintMillis)
+	var ae *api.Error
+	if !errors.As(classify(err), &ae) || ae.Code != api.CodeOverloaded || ae.RetryAfterMillis != retryHintMillis {
+		t.Fatalf("control-plane error: got %+v, want CodeOverloaded with retry hint %d", ae, retryHintMillis)
 	}
 	// Rejection before debit: the channel moved by exactly the admitted
 	// payments, the shed one left no trace.
@@ -177,6 +179,40 @@ func TestOverloadRejectNeverDebits(t *testing.T) {
 	}
 }
 
+// TestPayToUnknownPeerNeverDebits: a channel whose peer has no record on
+// this host has no lane and no connection to carry the frame, so the
+// payment is refused with the typed ErrUnknownPeer before admission and
+// before the enclave is asked: debiting first would leave a payment
+// whose frame is then dropped for want of a peer.
+func TestPayToUnknownPeerNeverDebits(t *testing.T) {
+	alice, bob, chID := setupBudgetPair(t, 4, 8)
+	alice.mu.Lock()
+	delete(alice.peersByID, bob.Identity())
+	alice.mu.Unlock()
+
+	before := alice.Stats()
+	for name, pay := range map[string]func() error{
+		"Pay":      func() error { return alice.Pay(chID, 7) },
+		"PayBatch": func() error { return alice.PayBatch(chID, []chain.Amount{1, 2, 3}) },
+	} {
+		if err := pay(); !errors.Is(err, ErrUnknownPeer) {
+			t.Fatalf("%s to a channel with an unknown peer: got %v, want ErrUnknownPeer", name, err)
+		}
+	}
+	mine, remote, err := alice.ChannelBalances(chID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mine != 1_000_000 || remote != 0 {
+		t.Fatalf("refused payments moved the balance: %d/%d, want 1000000/0", mine, remote)
+	}
+	after := alice.Stats()
+	if after.PaymentsInflight != 0 || after.PaymentsSent != before.PaymentsSent ||
+		after.PaymentsRejected != 0 || after.Drops != before.Drops {
+		t.Fatalf("refused payments left a trace: before %+v, after %+v", before, after)
+	}
+}
+
 // TestOverloadIssuerFairShare covers the per-connection fair sharing:
 // two registered issuers split the global ceiling, one issuer
 // saturating its share is refused while the other still admits, a
@@ -266,7 +302,7 @@ func TestOverloadEvents(t *testing.T) {
 	}
 	select {
 	case e := <-evs:
-		if !e.Shedding || e.RetryAfterMillis != defaultRetryHintMillis {
+		if !e.Shedding || e.RetryAfterMillis != retryHintMillis {
 			t.Fatalf("shed event: %+v", e)
 		}
 	case <-time.After(testTimeout):

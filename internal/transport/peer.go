@@ -109,9 +109,17 @@ const (
 	maxFreeBufSize = 64 << 10
 )
 
+// outboxDepth bounds each peer's outbound frame queue.
+const outboxDepth = 1024
+
+// The reconnect backoff doubles from redialMin to redialMax.
 // defaultRedialJitter is Config.RedialJitter's default: each backoff
 // sleep lands uniformly in the lower half of [d/2, d].
-const defaultRedialJitter = 0.5
+const (
+	redialMin           = 25 * time.Millisecond
+	redialMax           = time.Second
+	defaultRedialJitter = 0.5
+)
 
 // sentRingSize is the recent-write tail depth re-sent after a
 // connection handover. It must stay below the session anti-replay
@@ -194,13 +202,13 @@ func (p *peer) run() {
 		}
 		close(p.writerDone)
 	}()
-	backoff := p.h.cfg.RedialMin
+	backoff := redialMin
 	for {
 		var ch connHandle
 		if p.addr != "" {
 			conn, err := p.h.dialPeerConn(p.addr)
 			if err != nil {
-				sleep, next := nextBackoff(backoff, p.h.cfg.RedialMax, p.h.cfg.RedialJitter, rand.Float64())
+				sleep, next := nextBackoff(backoff, redialMax, p.h.cfg.RedialJitter, rand.Float64())
 				select {
 				case <-time.After(sleep):
 				case <-p.quit:
@@ -209,7 +217,7 @@ func (p *peer) run() {
 				backoff = next
 				continue
 			}
-			backoff = p.h.cfg.RedialMin
+			backoff = redialMin
 			ch = connHandle{conn: conn, dead: make(chan struct{})}
 			if !p.h.trackConn(conn) {
 				conn.Close()

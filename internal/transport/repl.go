@@ -4,7 +4,7 @@ package transport
 // replication flusher.
 //
 // A replicated socket host keeps payments on the per-peer lane fast
-// path (core.LaneEligible stays true): lane commits append their ops
+// path (core.Enclave.EnableConcurrentHost): lane commits append their ops
 // and withheld effects to the enclave's replication log, and the
 // flusher goroutine here drains that log into ReplBatch frames (payment
 // ops) and solo ReplUpdate frames (everything else), pipelining them to
@@ -28,29 +28,40 @@ import (
 	"teechain/internal/wire"
 )
 
-// Replication flusher defaults; see Config (ReplWindowOps defaults to
-// QueueDepth, tying the release-burst bound to the queue bound).
+// Replication flusher parameters.
 const (
-	defaultReplBatchOps     = 512
-	defaultReplFlushPeriod  = 2 * time.Millisecond
-	committeeReadyAwaitWhat = "committee ready"
-
-	// minReplBatchOps floors the adaptive flush batch: an idle chain
-	// flushes small, low-latency frames; backlog doubles the batch up
-	// to Config.ReplBatchOps (see replFlush).
+	// maxReplBatchOps caps the ops one ReplBatch frame carries (within
+	// wire.MaxReplBatch); minReplBatchOps floors the adaptive flush
+	// batch: an idle chain flushes small, low-latency frames, and
+	// backlog doubles the batch up to the cap (see replFlush).
+	maxReplBatchOps = 512
 	minReplBatchOps = 32
 
-	// defaultReplStallTicks × ReplFlushInterval ≈ 500 ms of zero ack
+	// replWindowOps bounds flushed-but-unacknowledged replication ops —
+	// the pipelining window. It equals the peer queue bound: each
+	// in-flight op withholds at most one outbound frame, so a cumulative
+	// ack can never release more frames than an empty peer queue admits
+	// (released frames have no retransmit; overflowing the queue with
+	// them would diverge host-level state).
+	replWindowOps = outboxDepth
+
+	// replFlushPeriod is the flusher's safety tick; size kicks normally
+	// wake it much sooner.
+	replFlushPeriod = 2 * time.Millisecond
+
+	// defaultReplStallTicks × replFlushPeriod ≈ 500 ms of zero ack
 	// progress with ops pending before the watchdog trips.
 	defaultReplStallTicks = 250
+
+	committeeReadyAwaitWhat = "committee ready"
 )
 
 // FormCommittee forms this enclave's committee chain (§6) from the
 // named peers, in chain order, with signature threshold m over
-// len(members)+1 keys. Peers are attested first when needed. Unless
-// Config.NoReplPipeline is set, the chain runs in pipelined mode and
-// the replication flusher starts. Blocks until every member has
-// returned its committee key (the chain is ready for deposits).
+// len(members)+1 keys. Peers are attested first when needed. The chain
+// is pipelined (NewHost saw to that) and the replication flusher
+// starts. Blocks until every member has returned its committee key (the
+// chain is ready for deposits).
 func (h *Host) FormCommittee(members []string, m int, timeout time.Duration) error {
 	if len(members) == 0 {
 		return errors.New("transport: committee needs at least one member")
@@ -71,23 +82,13 @@ func (h *Host) FormCommittee(members []string, m int, timeout time.Duration) err
 		h.mu.Unlock()
 		return errors.New("transport: host closed")
 	}
-	// A durable enclave's log is always pipelined (effects are withheld
-	// for the WAL fsync regardless), so replication must pipeline too —
-	// immediate mode's synchronous per-op ReplUpdate cannot ride a
-	// pipelined log. Durable therefore overrides NoReplPipeline.
-	pipelined := !h.cfg.NoReplPipeline || h.enclave.Durable()
-	if pipelined {
-		// Before FormCommittee, so the chain's log starts pipelined and
-		// no commit ever emits a synchronous per-op update.
-		h.enclave.EnableReplPipeline(h.kickRepl)
-	}
 	res, err := h.enclave.FormCommittee(ids, m)
 	if err != nil {
 		h.mu.Unlock()
 		return err
 	}
 	h.dispatchLocked(res)
-	startFlusher := pipelined && !h.replRunning
+	startFlusher := !h.replRunning
 	if startFlusher {
 		h.replRunning = true
 		h.wg.Add(1)
@@ -115,12 +116,9 @@ func (h *Host) kickRepl() {
 // doubles as the stall watchdog's clock (replWatch).
 func (h *Host) replFlusher() {
 	defer h.wg.Done()
-	ticker := time.NewTicker(h.cfg.ReplFlushInterval)
+	ticker := time.NewTicker(replFlushPeriod)
 	defer ticker.Stop()
 	batchOps := minReplBatchOps
-	if batchOps > h.cfg.ReplBatchOps {
-		batchOps = h.cfg.ReplBatchOps
-	}
 	var wd replWatchdog
 	for {
 		select {
@@ -142,7 +140,7 @@ func (h *Host) replFlusher() {
 //
 // batchOps is the adaptive batch bound: every full frame doubles it
 // (backlog — amortize framing and sealing over more ops) up to
-// Config.ReplBatchOps, and every drained pass halves it back toward
+// maxReplBatchOps, and every drained pass halves it back toward
 // minReplBatchOps (idle — flush small for latency). The adapted value
 // is returned for the flusher to carry into the next pass.
 func (h *Host) replFlush(batchOps int) int {
@@ -152,7 +150,7 @@ func (h *Host) replFlush(batchOps int) int {
 			h.mu.RUnlock()
 			return batchOps
 		}
-		to, msg, n := h.enclave.ReplNextFlush(h.replBatch, batchOps, h.cfg.ReplWindowOps)
+		to, msg, n := h.enclave.ReplNextFlush(h.replBatch, batchOps, replWindowOps)
 		if n == 0 {
 			h.mu.RUnlock()
 			if batchOps > minReplBatchOps {
@@ -188,10 +186,8 @@ func (h *Host) replFlush(batchOps int) int {
 		h.mu.RUnlock()
 		h.replBatchesOut.Add(1)
 		h.replOpsOut.Add(uint64(n))
-		if n >= batchOps && batchOps < h.cfg.ReplBatchOps {
-			if batchOps *= 2; batchOps > h.cfg.ReplBatchOps {
-				batchOps = h.cfg.ReplBatchOps
-			}
+		if n >= batchOps && batchOps < maxReplBatchOps {
+			batchOps *= 2
 		}
 	}
 }
@@ -255,7 +251,7 @@ func (h *Host) replWatch(wd *replWatchdog) {
 	h.mu.RLock()
 	st, ok := h.enclave.ReplStats()
 	h.mu.RUnlock()
-	if !ok || !st.Pipelined || (st.Window == 0 && st.Queued == 0) {
+	if !ok || (st.Window == 0 && st.Queued == 0) {
 		wd.lastAck = st.AckSeq
 		wd.ticks = 0
 		wd.heals = 0

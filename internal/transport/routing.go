@@ -105,7 +105,7 @@ const routedBackoffCap = 500 * time.Millisecond
 // callers (the client SDK's Retrier above all) can re-resolve against a
 // fresher graph and try again.
 func (h *Host) PayRouted(dst cryptoutil.PublicKey, amount chain.Amount, timeout time.Duration) (route.Route, error) {
-	deadline := time.Now().Add(clampDeadline(timeout, h.cfg.ColdDeadline))
+	deadline := time.Now().Add(timeout)
 	g, self := h.routes.Graph(), h.enclave.Identity()
 	backoff := time.Millisecond
 	var lastErr error
@@ -262,15 +262,11 @@ func (h *Host) reannounceLocked() {
 // noteRouteUpdateLocked reports a graph change to control-plane
 // subscribers.
 func (h *Host) noteRouteUpdateLocked(ch wire.ChannelID) {
-	if h.observers.Load() == nil && h.cfg.OnEvent == nil {
+	if h.observers.Load() == nil {
 		return
 	}
 	g := h.routes.Graph()
-	ev := EvRouteUpdate{Channel: ch, Nodes: g.Nodes(), Edges: g.Open()}
-	if h.cfg.OnEvent != nil {
-		h.cfg.OnEvent(ev)
-	}
-	h.fanObservers(ev)
+	h.fanObservers(EvRouteUpdate{Channel: ch, Nodes: g.Nodes(), Edges: g.Open()})
 }
 
 // payMultihopFees is PayMultihop carrying an explicit per-hop fee
@@ -293,7 +289,7 @@ func (h *Host) payMultihopFees(path []cryptoutil.PublicKey, fees []chain.Amount,
 	h.dispatchLocked(res)
 	h.mu.Unlock()
 
-	deadline := time.NewTimer(clampDeadline(timeout, h.cfg.ColdDeadline))
+	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
 	select {
 	case <-out.done:

@@ -22,7 +22,7 @@ package transport
 // here drains that log into sealed records — collected under the wide
 // READ lock (WalNextFlush), written and fsynced under no host lock at
 // all, then released under the wide WRITE lock (WalSynced). One fsync
-// covers up to WalBatchOps commits: the paper's group commit, which is
+// covers up to walBatchOps commits: the paper's group commit, which is
 // what keeps durable payments at line rate instead of the ~10 tx/s of
 // per-op counter increments.
 //
@@ -66,11 +66,18 @@ import (
 // (Host.Recover). The control plane maps it to api.CodeRecovering.
 var ErrRecovering = errors.New("transport: recovering, run recover first")
 
-// Durability defaults; see Config.
+// Durability parameters.
 const (
-	defaultWalBatchOps     = 512
-	defaultWalFlushPeriod  = 2 * time.Millisecond
-	defaultSnapshotPeriod  = 30 * time.Second
+	// walBatchOps caps the ops one WAL record (one fsync) covers — the
+	// group-commit batch size.
+	walBatchOps = 512
+	// walFlushPeriod is the WAL flusher's safety tick; size kicks
+	// normally wake it much sooner.
+	walFlushPeriod = 2 * time.Millisecond
+	// snapshotPeriod is the periodic snapshot cadence, beside the boot
+	// snapshot and explicit SnapshotNow calls.
+	snapshotPeriod = 30 * time.Second
+
 	walFileName            = "wal.log"
 	snapshotFileName       = "snapshot.seal"
 	snapshotTmpName        = "snapshot.tmp"
@@ -80,8 +87,8 @@ const (
 	recoverAwaitResyncWhat = "committee resync"
 )
 
-// Transport-level durability events, delivered to Config.OnEvent and
-// Host.Observe like enclave events; the control plane streams them as
+// Transport-level durability events, delivered to Host.Observe like
+// enclave events; the control plane streams them as
 // api.EventSnapshot / EventWalLag / EventRecovered.
 type (
 	// EvSnapshot reports a sealed snapshot: everything up to Seq is now
@@ -259,19 +266,15 @@ func (h *Host) kickWal() {
 // the periodic snapshot.
 func (h *Host) walFlusher() {
 	defer h.wg.Done()
-	ticker := time.NewTicker(h.cfg.WalFlushInterval)
+	ticker := time.NewTicker(walFlushPeriod)
 	defer ticker.Stop()
-	var snapC <-chan time.Time
-	if h.cfg.SnapshotInterval > 0 {
-		snapTicker := time.NewTicker(h.cfg.SnapshotInterval)
-		defer snapTicker.Stop()
-		snapC = snapTicker.C
-	}
+	snapTicker := time.NewTicker(snapshotPeriod)
+	defer snapTicker.Stop()
 	for {
 		select {
 		case <-h.walKick:
 		case <-ticker.C:
-		case <-snapC:
+		case <-snapTicker.C:
 			if _, err := h.SnapshotNow(); err != nil && !errors.Is(err, ErrClosed) {
 				h.logf("%s: periodic snapshot: %v", h.cfg.Name, err)
 			}
@@ -297,7 +300,7 @@ func (h *Host) walFlush() {
 			h.mu.RUnlock()
 			return
 		}
-		sealed, lastSeq, n, err := h.enclave.WalNextFlush(h.cfg.WalBatchOps)
+		sealed, lastSeq, n, err := h.enclave.WalNextFlush(walBatchOps)
 		h.mu.RUnlock()
 		if err != nil {
 			h.logf("%s: WAL collect: %v", h.cfg.Name, err)
@@ -322,7 +325,7 @@ func (h *Host) walFlush() {
 		next, _, synced := h.enclave.WalCursors()
 		if lag := next - synced; lag > h.walLagMax.Load() {
 			h.walLagMax.Store(lag)
-			h.eventFn(EvWalLag{Lag: lag})
+			h.fanObservers(EvWalLag{Lag: lag})
 		}
 		h.mu.Unlock()
 	}
@@ -374,7 +377,7 @@ func (h *Host) SnapshotNow() (uint64, error) {
 	h.snapSeq.Store(seq)
 	h.snapTime.Store(time.Now().UnixNano())
 	h.snapCount.Add(1)
-	h.eventFn(EvSnapshot{Seq: seq})
+	h.fanObservers(EvSnapshot{Seq: seq})
 	h.mu.Unlock()
 	time.Sleep(tee.CounterIncrementLatency)
 	return seq, nil
@@ -491,7 +494,6 @@ func (h *Host) Recover(timeout time.Duration) error {
 	if len(members) > 0 {
 		h.mu.Lock()
 		h.resynced = false
-		h.enclave.EnableReplPipeline(h.kickRepl)
 		res, err := h.enclave.ReplResyncStart()
 		if err != nil {
 			h.mu.Unlock()
@@ -533,7 +535,7 @@ func (h *Host) Recover(timeout time.Duration) error {
 
 	h.recovering.Store(false)
 	h.mu.Lock()
-	h.eventFn(EvRecovered{})
+	h.fanObservers(EvRecovered{})
 	h.mu.Unlock()
 	return nil
 }

@@ -189,3 +189,65 @@ func TestFinishedMultihopLeavesEnclaveState(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulatedChannelThroughput pins single-channel capacity in
+// virtual time: a closed loop with a deep window over the US→UK channel
+// acknowledges 90 000 payments (after 10 000 of warm-up) in exactly
+// 693 ms — 7.7 µs each, 129 870.13 tx/s. The figure is a protocol
+// constant of the simulator, not a measurement of this machine: it
+// moves only when the simulated behaviour of a payment does.
+func TestSimulatedChannelThroughput(t *testing.T) {
+	const (
+		total  = 100_000
+		warmup = total / 10
+		// The window must out-run the bandwidth-delay product of the
+		// channel (~130 k tx/s × 90 ms RTT ≈ 12 k in flight) so the
+		// measurement reads enclave capacity, not the round trip.
+		window = 16_384
+	)
+	net, err := NewNetwork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, _ := net.AddNode("alice", SiteUS, NodeOptions{})
+	bob, _ := net.AddNode("bob", SiteUK, NodeOptions{})
+	ch, err := net.OpenChannel(alice, bob, total+1_000_000, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	issued, acked, failed := 0, 0, 0
+	var tWarm, tEnd time.Duration
+	var issue func(k int)
+	done := func(ok bool, _ time.Duration, _ string) {
+		if !ok {
+			failed++
+		}
+		acked++
+		if acked == warmup {
+			tWarm = net.Now()
+		}
+		if acked == total {
+			tEnd = net.Now()
+		}
+		issue(1)
+	}
+	issue = func(k int) {
+		for i := 0; i < k && issued < total; i++ {
+			issued++
+			if err := alice.Pay(ch, 1, done); err != nil {
+				done(false, 0, err.Error())
+			}
+		}
+	}
+	issue(window)
+	if err := net.Until(func() bool { return acked >= total }); err != nil {
+		t.Fatal(err)
+	}
+	if failed > 0 {
+		t.Fatalf("%d of %d payments failed", failed, total)
+	}
+	if got, want := tEnd-tWarm, 693*time.Millisecond; got != want {
+		t.Fatalf("%d payments took %v of virtual time (%.2f tx/s), want %v (129870.13 tx/s)",
+			total-warmup, got, float64(total-warmup)/got.Seconds(), want)
+	}
+}
