@@ -1,7 +1,8 @@
 // teechain-bench regenerates every table and figure of the paper's
 // evaluation (§7) from this implementation, printing paper-style
-// output. See EXPERIMENTS.md for the recorded paper-vs-measured
-// comparison.
+// output. DESIGN.md §4 indexes the runners; the repository keeps no
+// recorded paper-vs-measured comparison, so read the printed rows
+// against the paper directly.
 //
 // Usage:
 //

@@ -42,9 +42,7 @@ func main() {
 			Name:      name,
 			Authority: auth,
 			Chain:     lc,
-			Logf: func(format string, args ...any) {
-				log.Printf(format, args...)
-			},
+			Logf:      log.Printf,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -60,13 +58,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Serve alice's control plane and connect the typed client to it —
-	// the same listener also answers netcat's line protocol.
+	// Serve alice's control plane and connect the typed client to it.
 	ctlLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	ctl := transport.ServeControl(ctlLn, alice)
+	ctl := api.Serve(ctlLn, alice.API(), log.Printf)
 	defer ctl.Close()
 	cc, err := client.Dial(ctlLn.Addr().String())
 	if err != nil {

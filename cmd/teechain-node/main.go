@@ -1,9 +1,8 @@
 // teechain-node is a deployed Teechain node: one enclave hosted over
 // real TCP sockets (internal/transport), driven through its control
-// port. The control listener sniffs both control protocols per
-// connection: the typed, versioned control-plane API (internal/api,
-// spoken by the Go client SDK internal/api/client, the harness, and
-// the benches) and the legacy line protocol for humans with netcat.
+// port, which speaks the typed, versioned control-plane API
+// (internal/api): the Go client SDK internal/api/client, the harness,
+// the benchmark and teechain-ctl all use it.
 // N-node topologies — hub-and-spoke, multihop chains, committees —
 // run as real processes, one teechain-node each.
 //
@@ -17,14 +16,13 @@
 //	teechain-node -name spoke1 -listen :7200 -control :7201 -chain localhost:7102 -peers localhost:7100
 //	teechain-node -name spoke2 -listen :7300 -control :7301 -chain localhost:7102 -peers localhost:7100
 //
-//	nc localhost 7201
-//	  attest hub
-//	  open hub
-//	  fund <channel> 100000
-//	  pay <channel> 10 100
-//	  settle <channel>
-//	  mine
-//	  balance
+//	teechain-ctl -c localhost:7201 attest hub
+//	teechain-ctl -c localhost:7201 open hub
+//	teechain-ctl -c localhost:7201 fund <channel> 100000
+//	teechain-ctl -c localhost:7201 pay <channel> 10 100
+//	teechain-ctl -c localhost:7201 settle <channel>
+//	teechain-ctl -c localhost:7201 mine
+//	teechain-ctl -c localhost:7201 balance
 //
 // Flags may also come from a JSON config file (-config); explicit flags
 // override file values. -pprof serves net/http/pprof on a dedicated
@@ -203,9 +201,7 @@ func run(cfg nodeConfig) error {
 		DataDir:          cfg.Data,
 		FeeBase:          chain.Amount(cfg.FeeBase),
 		FeeRatePPM:       uint32(cfg.FeeRatePPM),
-		Logf: func(format string, args ...any) {
-			log.Printf(format, args...)
-		},
+		Logf:             log.Printf,
 	})
 	if err != nil {
 		return err
@@ -237,10 +233,10 @@ func run(cfg nodeConfig) error {
 	if err != nil {
 		return fmt.Errorf("control listener: %w", err)
 	}
-	ctl := transport.ServeControl(ctlLn, host)
+	ctl := api.Serve(ctlLn, host.API(), log.Printf)
 	defer ctl.Close()
 	id := host.Identity()
-	log.Printf("%s: control API (typed v%d + line) on %s, identity %x",
+	log.Printf("%s: control API v%d on %s, identity %x",
 		cfg.Name, api.Version, ctlLn.Addr(), id[:])
 
 	sig := make(chan os.Signal, 1)

@@ -28,12 +28,9 @@
 // with CodeVersion. Adding message types or trailing gob fields is
 // backward compatible; changing existing semantics bumps Version.
 //
-// The legacy line protocol ("attest hub", "pay ch-x 10 100") is served
-// by a shim (internal/transport.ControlServer) that parses each line
-// into one of these request messages, dispatches it through the same
-// Handler, and formats the typed response back into "ok ..."/"err ..."
-// text — so hand-run nc sessions keep working against the same code
-// path the typed clients use. See DESIGN.md §3d.
+// This is the node's only control protocol: api.Serve is the server,
+// internal/api/client the Go SDK, and cmd/teechain-ctl the operator's
+// command line over that SDK. See DESIGN.md §3d.
 package api
 
 import (
@@ -85,7 +82,7 @@ const (
 	CodeOverloaded       // admission refused before any debit; back off and retry
 )
 
-// String names the code for logs and the line-protocol shim.
+// String names the code for logs and error text.
 func (c Code) String() string {
 	switch c {
 	case OK:

@@ -231,25 +231,8 @@ func TestErrorClassification(t *testing.T) {
 	}
 }
 
-// TestConvertHelpers pins the shared amount/identity text conversions
-// (deduplicated out of the transport control shim).
+// TestConvertHelpers pins the identity text conversions.
 func TestConvertHelpers(t *testing.T) {
-	if v, err := ParseAmount("12345"); err != nil || v != 12345 {
-		t.Fatalf("ParseAmount: %d, %v", v, err)
-	}
-	for _, bad := range []string{"", "0", "-3", "abc", "9223372036854775808"} {
-		if _, err := ParseAmount(bad); err == nil {
-			t.Fatalf("ParseAmount accepted %q", bad)
-		}
-	}
-	if n, err := ParseCount("7"); err != nil || n != 7 {
-		t.Fatalf("ParseCount: %d, %v", n, err)
-	}
-	for _, bad := range []string{"", "0", "-1", "x"} {
-		if _, err := ParseCount(bad); err == nil {
-			t.Fatalf("ParseCount accepted %q", bad)
-		}
-	}
 	id := sampleFrom()
 	s := FormatIdentity(id)
 	if len(s) != 2*len(id) {

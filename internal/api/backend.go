@@ -23,14 +23,14 @@ type PayCursor struct {
 
 // Backend is the node surface the control plane drives. transport.Host
 // provides it via Host.API(); the interface lives here so the api
-// package (protocol + server + shim dispatch) never depends on the
-// transport package.
+// package (protocol + server) never depends on the transport package.
 //
 // Blocking calls take an explicit timeout and return *Error with
-// CodeTimeout when it expires. Pay and PayBatch only ISSUE payments —
-// they return a PayCursor the caller completes with AwaitPaid — so a
-// pipelining server can issue request N+1 while N's acks are still in
-// flight, keeping the enclave's per-peer lane fast path saturated.
+// CodeTimeout when it expires. Payments are issued through a
+// connection's Issuer, which only ISSUES them — it returns a PayCursor
+// the server completes with AwaitPaid — so a pipelining server can
+// issue request N+1 while N's acks are still in flight, keeping the
+// enclave's per-peer lane fast path saturated.
 type Backend interface {
 	// Info identifies the node (name, enclave identity, wallet).
 	Info() NodeInfo
@@ -44,11 +44,8 @@ type Backend interface {
 	OpenChannel(peer string, timeout time.Duration) (wire.ChannelID, error)
 	// Deposit funds a channel with a fresh on-chain deposit.
 	Deposit(ch wire.ChannelID, amount chain.Amount, timeout time.Duration) (chain.OutPoint, error)
-	// Pay issues count payments of amount each on the channel.
-	Pay(ch wire.ChannelID, amount chain.Amount, count int) (PayCursor, error)
-	// PayBatch issues len(amounts) payments in one PayBatch frame. The
-	// amounts slice is not retained past the call.
-	PayBatch(ch wire.ChannelID, amounts []chain.Amount) (PayCursor, error)
+	// NewIssuer opens a per-connection payment-issue handle.
+	NewIssuer() Issuer
 	// AwaitPaid blocks until the cursor's span has settled, returning
 	// nil when all payments were acked and CodeNacked when any were
 	// rejected.
@@ -108,15 +105,11 @@ type NodeInfo struct {
 // Release as issued payments settle and Close when the connection goes
 // away.
 type Issuer interface {
+	// Pay issues count payments of amount each on the channel.
 	Pay(ch wire.ChannelID, amount chain.Amount, count int) (PayCursor, error)
+	// PayBatch issues len(amounts) payments in one PayBatch frame. The
+	// amounts slice is not retained past the call.
 	PayBatch(ch wire.ChannelID, amounts []chain.Amount) (PayCursor, error)
 	Release(count uint32)
 	Close()
-}
-
-// IssuerBackend is implemented by backends with per-connection
-// admission control (transport.Host). Backends without it share one
-// unpartitioned budget across all connections.
-type IssuerBackend interface {
-	NewIssuer() Issuer
 }

@@ -15,11 +15,13 @@ import (
 )
 
 // stubBackend implements api.Backend with no-op answers; tests override
-// the multihop behavior via the mh callback, or the routed-payment
-// answer via routed.
+// the multihop behavior via the mh callback, the routed-payment answer
+// via routed, the payment issuer via issuer, and the stats via stats.
 type stubBackend struct {
 	mh     func() error
 	routed func(target string, amount chain.Amount) (api.RouteInfo, error)
+	issuer api.Issuer
+	stats  api.StatsResp
 }
 
 func (s *stubBackend) Info() api.NodeInfo    { return api.NodeInfo{Name: "stub"} }
@@ -34,11 +36,11 @@ func (s *stubBackend) OpenChannel(string, time.Duration) (wire.ChannelID, error)
 func (s *stubBackend) Deposit(wire.ChannelID, chain.Amount, time.Duration) (chain.OutPoint, error) {
 	return chain.OutPoint{}, nil
 }
-func (s *stubBackend) Pay(wire.ChannelID, chain.Amount, int) (api.PayCursor, error) {
-	return api.PayCursor{}, nil
-}
-func (s *stubBackend) PayBatch(wire.ChannelID, []chain.Amount) (api.PayCursor, error) {
-	return api.PayCursor{}, nil
+func (s *stubBackend) NewIssuer() api.Issuer {
+	if s.issuer != nil {
+		return s.issuer
+	}
+	return stubIssuer{}
 }
 func (s *stubBackend) AwaitPaid(api.PayCursor, time.Duration) error { return nil }
 func (s *stubBackend) Multihop(amount chain.Amount, hops []string, timeout time.Duration) error {
@@ -62,13 +64,25 @@ func (s *stubBackend) Balances(wire.ChannelID) (chain.Amount, chain.Amount, erro
 }
 func (s *stubBackend) Mine(int) (uint64, error)             { return 0, nil }
 func (s *stubBackend) WalletBalance() (chain.Amount, error) { return 0, nil }
-func (s *stubBackend) Stats() api.StatsResp                 { return api.StatsResp{} }
+func (s *stubBackend) Stats() api.StatsResp                 { return s.stats }
 func (s *stubBackend) WalStats() api.WalStatsResp           { return api.WalStatsResp{} }
 func (s *stubBackend) SnapshotNow() (uint64, error)         { return 0, nil }
 func (s *stubBackend) Recover(time.Duration) (bool, int, error) {
 	return false, 0, nil
 }
 func (s *stubBackend) Subscribe(func(api.Event)) func() { return func() {} }
+
+// stubIssuer accepts every payment without issuing anything.
+type stubIssuer struct{}
+
+func (stubIssuer) Pay(wire.ChannelID, chain.Amount, int) (api.PayCursor, error) {
+	return api.PayCursor{}, nil
+}
+func (stubIssuer) PayBatch(wire.ChannelID, []chain.Amount) (api.PayCursor, error) {
+	return api.PayCursor{}, nil
+}
+func (stubIssuer) Release(uint32) {}
+func (stubIssuer) Close()         {}
 
 // dialStub serves a stub backend on a loopback listener and returns a
 // connected client.

@@ -7,7 +7,48 @@ import (
 	"time"
 
 	"teechain/internal/api"
+	"teechain/internal/chain"
+	"teechain/internal/wire"
 )
+
+// shedIssuer refuses every payment at admission, as an overloaded node
+// does.
+type shedIssuer struct{ stubIssuer }
+
+func (shedIssuer) Pay(wire.ChannelID, chain.Amount, int) (api.PayCursor, error) {
+	return api.PayCursor{}, &api.Error{Code: api.CodeOverloaded, Msg: "shed", RetryAfterMillis: 7}
+}
+func (shedIssuer) PayBatch(wire.ChannelID, []chain.Amount) (api.PayCursor, error) {
+	return api.PayCursor{}, &api.Error{Code: api.CodeOverloaded, Msg: "shed", RetryAfterMillis: 7}
+}
+
+// TestOverloadedOverTheWire pins the typed backpressure end to end: a
+// payment the node sheds reaches the caller as CodeOverloaded with the
+// server's retry hint, for both payment requests, and the admission
+// and stall counters arrive in Stats.
+func TestOverloadedOverTheWire(t *testing.T) {
+	want := api.StatsResp{
+		Host:         api.HostStats{PaymentsRejected: 3, PaymentsInflight: 2, ShedStarts: 1, Shedding: true},
+		HasCommittee: true,
+		Committee:    api.CommitteeStatsEntry{Chain: "cc-stub", Stalled: true, Stalls: 4},
+	}
+	c := dialStub(t, &stubBackend{issuer: shedIssuer{}, stats: want})
+	for name, err := range map[string]error{
+		"pay":   c.Pay("ch", 5, 1),
+		"batch": c.PayBatch("ch", []chain.Amount{5, 5}),
+	} {
+		if !IsOverloaded(err) || RetryAfter(err) != 7*time.Millisecond {
+			t.Errorf("%s: %v (hint %v), want CodeOverloaded with a 7ms hint", name, err, RetryAfter(err))
+		}
+	}
+	st, err := c.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Host != want.Host || !st.HasCommittee || st.Committee != want.Committee {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
 
 // TestRetrierHonorsHint drives the retrier with injected sleep and
 // jitter against a scripted operation: two CodeOverloaded rejections

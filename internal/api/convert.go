@@ -2,34 +2,9 @@ package api
 
 import (
 	"encoding/hex"
-	"strconv"
 
-	"teechain/internal/chain"
 	"teechain/internal/cryptoutil"
 )
-
-// Shared text conversions used by both the line-protocol shim and the
-// typed layer, so amounts and identities parse and print identically
-// everywhere (they used to be duplicated ad hoc in transport).
-
-// ParseAmount parses a strictly positive currency amount.
-func ParseAmount(s string) (chain.Amount, error) {
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || v <= 0 {
-		return 0, Errorf(CodeBadRequest, "bad amount %q", s)
-	}
-	return chain.Amount(v), nil
-}
-
-// ParseCount parses a strictly positive integer count (payment counts,
-// batch sizes, block counts).
-func ParseCount(s string) (int, error) {
-	v, err := strconv.Atoi(s)
-	if err != nil || v < 1 {
-		return 0, Errorf(CodeBadRequest, "bad count %q", s)
-	}
-	return v, nil
-}
 
 // FormatIdentity renders an enclave identity as lowercase hex — the
 // canonical external identity spelling (control output, multihop path

@@ -11,10 +11,8 @@ import (
 // the caller does not override it.
 const DefaultTimeout = 30 * time.Second
 
-// Handler dispatches control-plane requests against a Backend. It is
-// the single decode-to-operation mapping shared by the typed TCP
-// server and the legacy line-protocol shim, so both speak to the node
-// through identical semantics.
+// Handler dispatches control-plane requests against a Backend: the
+// server's decode-to-operation mapping.
 type Handler struct {
 	b Backend
 	// Timeout bounds blocking operations (DefaultTimeout when zero).
@@ -23,9 +21,6 @@ type Handler struct {
 
 // NewHandler wraps a backend.
 func NewHandler(b Backend) *Handler { return &Handler{b: b} }
-
-// Backend returns the wrapped backend.
-func (h *Handler) Backend() Backend { return h.b }
 
 func (h *Handler) timeout() time.Duration {
 	if h.Timeout > 0 {
@@ -54,9 +49,9 @@ func fill(hdr *RespHeader, id uint64, err error) {
 }
 
 // Do dispatches one request synchronously and returns its typed
-// response (never nil). Payment requests block for their acks here —
-// the pipelined path splits issue and wait via IssuePay/AwaitPay
-// instead. Unknown message types get an ErrorResp with CodeUnknown.
+// response (never nil). Payment requests are not dispatched here: the
+// server splits them into IssuePayOn and AwaitPay. Unknown message
+// types get an ErrorResp with CodeUnknown.
 func (h *Handler) Do(req Request) Response {
 	id := req.CorrID()
 	switch r := req.(type) {
@@ -112,15 +107,6 @@ func (h *Handler) Do(req Request) Response {
 		}
 		point, err := h.b.Deposit(r.Channel, r.Amount, h.timeout())
 		resp.Point = point
-		fill(&resp.RespHeader, id, err)
-		return resp
-	case *PayReq, *PayBatchReq:
-		resp := &PayResp{}
-		cur, count, err := h.IssuePay(req)
-		if err == nil {
-			err = h.b.AwaitPaid(cur, h.timeout())
-		}
-		resp.Count = count
 		fill(&resp.RespHeader, id, err)
 		return resp
 	case *MultihopReq:
@@ -228,17 +214,11 @@ func (h *Handler) Do(req Request) Response {
 	}
 }
 
-// IssuePay issues the payments of a PayReq or PayBatchReq without
-// waiting for their acks, returning the cursor AwaitPay completes
-// with and the request's payment count. The server's pipelined pay
-// path uses it so the next request can issue while this one's acks are
-// in flight.
-func (h *Handler) IssuePay(req Request) (PayCursor, uint32, error) {
-	return h.IssuePayOn(nil, req)
-}
-
-// IssuePayOn is IssuePay charged against a per-connection issuer; nil
-// falls back to the backend's shared admission path.
+// IssuePayOn issues the payments of a PayReq or PayBatchReq through a
+// connection's issuer without waiting for their acks, returning the
+// cursor AwaitPay completes with and the request's payment count. The
+// server's pipelined pay path uses it so the next request can issue
+// while this one's acks are in flight.
 func (h *Handler) IssuePayOn(iss Issuer, req Request) (PayCursor, uint32, error) {
 	switch r := req.(type) {
 	case *PayReq:
@@ -248,13 +228,7 @@ func (h *Handler) IssuePayOn(iss Issuer, req Request) (PayCursor, uint32, error)
 		if r.Count > MaxPayCount {
 			return PayCursor{}, 0, Errorf(CodeBadRequest, "count %d exceeds %d per request", r.Count, MaxPayCount)
 		}
-		var cur PayCursor
-		var err error
-		if iss != nil {
-			cur, err = iss.Pay(r.Channel, r.Amount, int(r.Count))
-		} else {
-			cur, err = h.b.Pay(r.Channel, r.Amount, int(r.Count))
-		}
+		cur, err := iss.Pay(r.Channel, r.Amount, int(r.Count))
 		return cur, r.Count, err
 	case *PayBatchReq:
 		if len(r.Amounts) == 0 {
@@ -268,13 +242,7 @@ func (h *Handler) IssuePayOn(iss Issuer, req Request) (PayCursor, uint32, error)
 				return PayCursor{}, 0, Errorf(CodeBadRequest, "bad payment amount %d in batch", a)
 			}
 		}
-		var cur PayCursor
-		var err error
-		if iss != nil {
-			cur, err = iss.PayBatch(r.Channel, r.Amounts)
-		} else {
-			cur, err = h.b.PayBatch(r.Channel, r.Amounts)
-		}
+		cur, err := iss.PayBatch(r.Channel, r.Amounts)
 		return cur, uint32(len(r.Amounts)), err
 	default:
 		return PayCursor{}, 0, Errorf(CodeUnknown, "%T is not a payment request", req)

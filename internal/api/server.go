@@ -42,25 +42,17 @@ const eventBufDepth = 4096
 // many completed payment responses may share one framed write.
 const maxAckBatch = 64
 
-// NewServer builds a listenerless server: connections are handed in
-// via ServeConn (the sniffing control listener does this). Close still
-// tears live connections down.
-func NewServer(b Backend, logf func(format string, args ...any)) *Server {
-	return &Server{h: NewHandler(b), logf: logf, conns: make(map[net.Conn]struct{})}
-}
-
 // Serve starts the control-plane server on ln until Close (or the
 // listener closing). logf may be nil.
 func Serve(ln net.Listener, b Backend, logf func(format string, args ...any)) *Server {
-	s := NewServer(b, logf)
-	s.ln = ln
+	s := &Server{h: NewHandler(b), ln: ln, logf: logf, conns: make(map[net.Conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
 }
 
-// Handler returns the server's dispatch handler (shared with the
-// line-protocol shim so both protocols hit identical semantics).
+// Handler returns the server's dispatch handler (callers tune its
+// Timeout).
 func (s *Server) Handler() *Handler { return s.h }
 
 // Close stops the server: listener, connections, in-flight handlers.
@@ -72,9 +64,7 @@ func (s *Server) Close() {
 		conns = append(conns, c)
 	}
 	s.mu.Unlock()
-	if s.ln != nil {
-		s.ln.Close()
-	}
+	s.ln.Close()
 	for _, c := range conns {
 		c.Close()
 	}
@@ -97,7 +87,7 @@ func (s *Server) acceptLoop() {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			s.ServeConn(conn)
+			s.serveConn(conn)
 		}()
 	}
 }
@@ -131,8 +121,7 @@ type serverConn struct {
 	s    *Server
 	conn net.Conn
 
-	// issuer is this connection's fair-share admission handle (nil
-	// when the backend has no per-connection admission control).
+	// issuer is this connection's fair-share admission handle.
 	issuer Issuer
 
 	// Outbound frames (responses and events) serialize under wmu; the
@@ -152,23 +141,19 @@ type serverConn struct {
 	wg sync.WaitGroup
 }
 
-// ServeConn speaks the typed protocol on one already-accepted
-// connection until it closes. Exported so the legacy control listener
-// can hand over connections it sniffed as typed (see
-// transport.ServeControl).
-func (s *Server) ServeConn(conn net.Conn) {
+// serveConn speaks the protocol on one accepted connection until it
+// closes.
+func (s *Server) serveConn(conn net.Conn) {
 	if !s.track(conn) {
 		conn.Close()
 		return
 	}
 	c := &serverConn{
-		s:    s,
-		conn: conn,
-		payQ: make(chan payPending, payQueueDepth),
-		quit: make(chan struct{}),
-	}
-	if ib, ok := s.h.Backend().(IssuerBackend); ok {
-		c.issuer = ib.NewIssuer()
+		s:      s,
+		conn:   conn,
+		payQ:   make(chan payPending, payQueueDepth),
+		quit:   make(chan struct{}),
+		issuer: s.h.b.NewIssuer(),
 	}
 	ackerDone := make(chan struct{})
 	go c.ackLoop(ackerDone)
@@ -179,9 +164,7 @@ func (s *Server) ServeConn(conn net.Conn) {
 	s.untrack(conn)
 	close(c.payQ)
 	<-ackerDone
-	if c.issuer != nil {
-		c.issuer.Close()
-	}
+	c.issuer.Close()
 	close(c.quit)
 	if c.evCancel != nil {
 		c.evCancel()
@@ -311,9 +294,7 @@ func (c *serverConn) ackLoop(done chan struct{}) {
 		resps = resps[:0]
 		for _, p := range batch {
 			err := c.s.h.AwaitPay(p.cur)
-			if c.issuer != nil {
-				c.issuer.Release(p.count)
-			}
+			c.issuer.Release(p.count)
 			resp := &PayResp{Count: p.count}
 			fill(&resp.RespHeader, p.id, err)
 			resps = append(resps, resp)
@@ -363,7 +344,7 @@ func (c *serverConn) subscribe(mask EventMask) {
 		c.evCh = make(chan Event, eventBufDepth)
 		// The observer runs with enclave-side locks held: filter, try a
 		// non-blocking buffered send, count the drop otherwise.
-		c.evCancel = c.s.h.Backend().Subscribe(func(ev Event) {
+		c.evCancel = c.s.h.b.Subscribe(func(ev Event) {
 			if EventMask(c.evMask.Load())&ev.Kind.Mask() == 0 {
 				return
 			}

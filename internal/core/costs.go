@@ -15,7 +15,7 @@ import (
 // is calibrated once against two measurements from the paper — the
 // single-channel no-fault-tolerance row of Table 1 (130,311 tx/s,
 // 86 ms) and the channel-creation row of Table 2 (2.81 s) — and then
-// held fixed for every experiment. See DESIGN.md §5 and EXPERIMENTS.md.
+// held fixed for every experiment. See DESIGN.md §5.
 const (
 	// CostPayBase is the fixed enclave cost of handling one payment
 	// message (session authentication, bookkeeping).

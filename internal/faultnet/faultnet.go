@@ -461,10 +461,13 @@ func (d *direction) pump(src io.Reader) {
 func (d *direction) deliver(frame []byte, dup bool) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	// Count before writing: a reader that has the frame must see it
+	// counted.
+	d.n.forwarded.Add(1)
 	if _, err := d.dst.Write(frame); err != nil {
+		d.n.forwarded.Add(^uint64(0))
 		return err
 	}
-	d.n.forwarded.Add(1)
 	if dup {
 		d.n.duplicated.Add(1)
 		if _, err := d.dst.Write(frame); err != nil {
@@ -501,11 +504,11 @@ func (d *direction) releaseLocked(expired func(heldFrame) bool) error {
 	var err error
 	for _, h := range d.held {
 		if err == nil && expired(h) {
-			if _, werr := d.dst.Write(h.frame); werr != nil {
-				err = werr
-				continue
-			}
 			d.n.forwarded.Add(1)
+			if _, werr := d.dst.Write(h.frame); werr != nil {
+				d.n.forwarded.Add(^uint64(0))
+				err = werr
+			}
 		} else {
 			kept = append(kept, h)
 		}

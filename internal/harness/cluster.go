@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"teechain/internal/api"
 	"teechain/internal/api/client"
 	"teechain/internal/chain"
 	"teechain/internal/cryptoutil"
@@ -15,8 +16,8 @@ import (
 
 // Cluster spawns an in-process N-node Teechain deployment over real
 // TCP sockets: one transport.Host per node, each with its own peer
-// listener AND its own control listener (the sniffed typed-API/line
-// port teechain-node serves), all sharing one blockchain. Cluster
+// listener AND its own control listener (the typed control-plane port
+// teechain-node serves), all sharing one blockchain. Cluster
 // operations are driven end to end through the typed control-plane
 // client SDK (internal/api/client) — exactly the path external
 // tooling uses against deployed daemons — while Host accessors remain
@@ -30,7 +31,7 @@ type Cluster struct {
 	Chain *transport.LocalChain
 
 	hosts    map[string]*transport.Host
-	ctls     map[string]*transport.ControlServer
+	ctls     map[string]*api.Server
 	ctlAddrs map[string]string
 	names    []string
 
@@ -66,7 +67,7 @@ func NewClusterWith(mut func(*transport.Config), names ...string) (*Cluster, err
 	c := &Cluster{
 		Chain:    transport.NewLocalChain(chain.New()),
 		hosts:    make(map[string]*transport.Host, len(names)),
-		ctls:     make(map[string]*transport.ControlServer, len(names)),
+		ctls:     make(map[string]*api.Server, len(names)),
 		ctlAddrs: make(map[string]string, len(names)),
 		clients:  make(map[string]*client.Conn, len(names)),
 		names:    append([]string(nil), names...),
@@ -106,7 +107,7 @@ func (c *Cluster) startNode(name string) error {
 		h.Close()
 		return err
 	}
-	ctl := transport.ServeControl(ln, h)
+	ctl := api.Serve(ln, h.API(), cfg.Logf)
 	// Control operations share the cluster's generous timeout so
 	// race-instrumented CI and failover phases never flake on the
 	// server-side default.

@@ -5,13 +5,9 @@ package harness
 // committee-member connection failure mid-stream, and threshold-signed
 // settlement — the deployed-with-replication scenario of the paper's
 // evaluation (§7, Fig. 8-9). All workloads drive through the typed
-// control-plane client (internal/api/client); the legacy line shim is
-// covered separately by TestCommitteeControlCommands.
+// control-plane client (internal/api/client).
 
 import (
-	"fmt"
-	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -19,27 +15,8 @@ import (
 	"teechain/internal/api/client"
 	"teechain/internal/chain"
 	"teechain/internal/core"
-	"teechain/internal/transport"
 	"teechain/internal/wire"
 )
-
-// controlFor serves the control API for a host and returns a connected
-// line-protocol client, both torn down with the test.
-func controlFor(t *testing.T, h *transport.Host) *transport.ControlClient {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := transport.ServeControl(ln, h)
-	t.Cleanup(srv.Close)
-	cc, err := transport.DialControl(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { cc.Close() })
-	return cc
-}
 
 // committeeCluster builds sender s (committee of two members m1, m2,
 // threshold 2), receiver r, with a funded s->r channel.
@@ -307,8 +284,9 @@ func TestClusterCommitteeFailover(t *testing.T) {
 	}
 }
 
-// TestCommitteeControlCommands drives committee formation and the
-// replication stats through the legacy line-based control shim.
+// TestCommitteeControlCommands drives committee formation, batched
+// replicated payments and the replication stats through the control
+// API on the node's own control port.
 func TestCommitteeControlCommands(t *testing.T) {
 	c, err := NewCluster("s", "r", "m1")
 	if err != nil {
@@ -321,35 +299,28 @@ func TestCommitteeControlCommands(t *testing.T) {
 	if err := c.Connect("s", "m1"); err != nil {
 		t.Fatal(err)
 	}
-	cc := controlFor(t, c.Host("s"))
+	cc := c.Client("s")
 
-	if _, err := cc.Do("stats committee"); err == nil {
-		t.Fatal("stats committee succeeded before formation")
+	if _, ok := committeeStats(t, cc); ok {
+		t.Fatal("committee stats reported before formation")
 	}
-	out, err := cc.Do("committee m1 2")
+	chainID, err := cc.Committee(2, "m1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var chainID string
-	if _, err := fmt.Sscanf(out, "chain %s ready", &chainID); err != nil {
-		t.Fatalf("committee response %q: %v", out, err)
+	if chainID == "" {
+		t.Fatal("committee formed with an empty chain id")
 	}
-	chID, err := cc.Do("open r")
+	chID, err := cc.OpenChannel("r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Do(fmt.Sprintf("fund %s 1000", chID)); err != nil {
+	if _, err := cc.Deposit(chID, 1000); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := cc.Do(fmt.Sprintf("pay %s 5 40 8", chID)); err != nil || out != "40 acked" {
-		t.Fatalf("pay: %q, %v", out, err)
-	}
-	stats, err := cc.Do("stats committee")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("chain=%s next=", chainID)
-	if !strings.HasPrefix(stats, want) {
-		t.Fatalf("stats committee %q does not start with %q", stats, want)
+	pumpPayments(t, cc, chID, 5, 40, 8)
+	st, ok := committeeStats(t, cc)
+	if !ok || st.Chain != chainID {
+		t.Fatalf("committee stats %+v (formed %t), want chain %s", st, ok, chainID)
 	}
 }

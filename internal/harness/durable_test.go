@@ -20,8 +20,9 @@ import (
 // test: a durable committee owner is killed without warning in the
 // middle of a payment burst, restarted from its snapshot + WAL, and
 // recovered through the typed API. Afterwards both channel endpoints
-// hold bit-identical, conservation-clean balances, the committee is
-// resynced, and payments flow again on the lane fast path.
+// hold bit-identical, conservation-clean balances, the owner still has
+// its committee, and payments flow again on the lane fast path,
+// replicated down that committee.
 func TestDurableKillRestartRecovers(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewClusterWith(func(cfg *transport.Config) {
@@ -124,9 +125,27 @@ func TestDurableKillRestartRecovers(t *testing.T) {
 		t.Fatalf("conservation violated: %d + %d != 100000", oMine, oRemote)
 	}
 
-	// Payments flow again — through the resynced committee and the WAL.
+	// The owner came back with its committee: the chain formed before
+	// the first periodic snapshot survives the crash.
+	st, err := owner.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.HasCommittee || st.Committee.Chain == "" {
+		t.Fatalf("recovered owner has no committee: has=%t %+v", st.HasCommittee, st.Committee)
+	}
+	opsOut := st.Committee.OpsOut
+
+	// Payments flow again, replicated down that committee and logged
+	// to the WAL.
 	if err := owner.Pay(chID, 5, 100); err != nil {
 		t.Fatal(err)
+	}
+	if st, err = owner.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	if st.Committee.OpsOut < opsOut+100 {
+		t.Fatalf("committee OpsOut %d -> %d over 100 post-recovery payments", opsOut, st.Committee.OpsOut)
 	}
 	ws, err = owner.WalStats()
 	if err != nil {

@@ -54,7 +54,8 @@ func RunFigure6(machineCounts []int, committees []int, paymentsPerMachine int) (
 // Note the per-machine knee with committees is lower than Table 1's
 // one-replica row: there every party had a dedicated member machine,
 // here every machine double-duties as owner and committee member and
-// spends ~2 member-updates of work per payment (see EXPERIMENTS.md).
+// spends ~2 member-updates of work per payment (the per-update cost is
+// DESIGN.md §5's calibration; this knee estimate is recorded only here).
 func fig6Offered(committee int) float64 {
 	switch committee {
 	case 1:

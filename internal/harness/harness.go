@@ -29,8 +29,9 @@ const (
 
 // linkSpec describes connectivity between two sites. The RTT/bandwidth
 // values come from Fig. 3; the assignment of the three wide-area labels
-// to site pairs is inferred from the latency breakdown of Table 1 (see
-// EXPERIMENTS.md, calibration).
+// to site pairs is inferred from the latency breakdown of Table 1, the
+// row DESIGN.md §5 calibrates costs against (the inference itself is
+// recorded only here).
 type siteLink struct {
 	rtt  time.Duration
 	mbps int64

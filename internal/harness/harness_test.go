@@ -154,9 +154,10 @@ func TestTable3AndFigure7Shape(t *testing.T) {
 	if os.Getenv("TEECHAIN_LONG_TESTS") == "" {
 		t.Skip("long-running contention experiment; set TEECHAIN_LONG_TESTS=1")
 	}
-	// Small measurement slices are noisy under lock contention (see
-	// EXPERIMENTS.md on the Fig. 4 / Table 3 calibration conflict), so
-	// the ordering checks carry tolerance margins; the full-size run in
+	// Small measurement slices are noisy under lock contention (every
+	// experiment shares the one cost calibration of DESIGN.md §5, tuned
+	// on Table 1 and Table 2, not on Fig. 4 or Table 3), so the
+	// ordering checks carry tolerance margins; the full-size run in
 	// cmd/teechain-bench is the reference.
 	rows, err := RunTable3(25)
 	if err != nil {

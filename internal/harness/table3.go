@@ -21,7 +21,8 @@ import (
 // hubSpokeTopology instantiates Fig. 5: tier-1 hubs fully
 // interconnected, each tier-2 node attached to two hubs, each tier-3
 // node to one tier-2 node. The paper does not give exact counts; this
-// instantiation (3/7/20 = 30 machines) is recorded in EXPERIMENTS.md.
+// instantiation (3/7/20 = 30 machines) is our own choice, recorded only
+// here (DESIGN.md §4 lists the runner).
 type hubSpoke struct {
 	d     *Deployment
 	nodes []*core.Node
@@ -305,7 +306,8 @@ func runHubSpoke(committee int, dynamic bool, tempChannels, paymentsPerMachine i
 	// contended multi-hop payments cycle through retries. The window is
 	// kept small relative to the edge count so multi-hop payments are
 	// not permanently starved by lock contention (head-of-line
-	// blocking; see EXPERIMENTS.md on Table 3 calibration).
+	// blocking). The window is this runner's own choice; DESIGN.md §5
+	// covers only the shared cost calibration.
 	window := 2 * len(hs.nodes)
 	if window > total {
 		window = total

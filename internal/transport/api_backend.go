@@ -1,10 +1,8 @@
 package transport
 
 // The control-plane backend: transport.Host exposed through the
-// internal/api Backend interface. This is the single surface both the
-// typed TCP server and the legacy line-protocol shim drive, so every
-// control protocol shares one semantics (and one set of structured
-// error codes, classified from the host's sentinel errors).
+// internal/api Backend interface, with one set of structured error
+// codes classified from the host's sentinel errors.
 
 import (
 	"errors"
@@ -33,8 +31,7 @@ type apiBackend struct {
 	h *Host
 }
 
-// API returns the host's control-plane backend, for api.Serve /
-// api.NewServer and the line-protocol shim.
+// API returns the host's control-plane backend, for api.Serve.
 func (h *Host) API() api.Backend { return apiBackend{h: h} }
 
 // transientNackRetryMillis is the backoff hint on transient multihop
@@ -120,48 +117,30 @@ func (b apiBackend) Deposit(ch wire.ChannelID, amount chain.Amount, timeout time
 	return point, classify(err)
 }
 
-// payLoop issues count payments through issue (the shared host path or
-// a per-connection issuer), building the settle cursor.
-func payLoop(issue func(wire.ChannelID, chain.Amount) (PayMark, error), ch wire.ChannelID, amount chain.Amount, count int) (api.PayCursor, error) {
-	var cur api.PayCursor
-	for i := 0; i < count; i++ {
-		mark, err := issue(ch, amount)
-		if err != nil {
-			// Payments already issued stay issued; the cursor reflects
-			// them so a partial failure still settles deterministically.
-			return cur, classify(err)
-		}
-		if i == 0 {
-			cur = api.PayCursor{Channel: ch, NackedBefore: mark.NackedBefore}
-		}
-		cur.Target = mark.Target
-	}
-	return cur, nil
-}
-
-func (b apiBackend) Pay(ch wire.ChannelID, amount chain.Amount, count int) (api.PayCursor, error) {
-	return payLoop(b.h.PayTracked, ch, amount, count)
-}
-
-func (b apiBackend) PayBatch(ch wire.ChannelID, amounts []chain.Amount) (api.PayCursor, error) {
-	mark, err := b.h.PayBatchTracked(ch, amounts)
-	if err != nil {
-		return api.PayCursor{}, classify(err)
-	}
-	return api.PayCursor{Channel: ch, Target: mark.Target, NackedBefore: mark.NackedBefore}, nil
-}
-
 // apiIssuer adapts a PayIssuer to api.Issuer: one fair-share admission
 // handle per typed control connection.
 type apiIssuer struct {
 	pi *PayIssuer
 }
 
-// NewIssuer implements api.IssuerBackend.
 func (b apiBackend) NewIssuer() api.Issuer { return apiIssuer{pi: b.h.NewPayIssuer()} }
 
+// Pay issues count payments one by one, building the settle cursor.
 func (i apiIssuer) Pay(ch wire.ChannelID, amount chain.Amount, count int) (api.PayCursor, error) {
-	return payLoop(i.pi.PayTracked, ch, amount, count)
+	var cur api.PayCursor
+	for n := 0; n < count; n++ {
+		mark, err := i.pi.PayTracked(ch, amount)
+		if err != nil {
+			// Payments already issued stay issued; the cursor reflects
+			// them so a partial failure still settles deterministically.
+			return cur, classify(err)
+		}
+		if n == 0 {
+			cur = api.PayCursor{Channel: ch, NackedBefore: mark.NackedBefore}
+		}
+		cur.Target = mark.Target
+	}
+	return cur, nil
 }
 
 func (i apiIssuer) PayBatch(ch wire.ChannelID, amounts []chain.Amount) (api.PayCursor, error) {

@@ -2,11 +2,10 @@ package transport
 
 import (
 	"fmt"
-	"net"
-	"strings"
 	"sync"
 	"testing"
 
+	"teechain/internal/api/client"
 	"teechain/internal/chain"
 	"teechain/internal/tee"
 	"teechain/internal/wire"
@@ -145,45 +144,52 @@ func TestLaneConcurrentPeers(t *testing.T) {
 	}
 }
 
-// TestControlBatchedPayAndChannelStats drives the batched pay verb and
-// the per-channel stats listing through the control protocol.
+// TestControlBatchedPayAndChannelStats drives batched payments and the
+// per-channel stats listing through the control API.
 func TestControlBatchedPayAndChannelStats(t *testing.T) {
 	alice, _, _ := setupPair(t)
+	cc := dialControl(t, alice)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err := cc.Attest("bob"); err != nil {
+		t.Fatal(err)
+	}
+	chID, err := cc.OpenChannel("bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ServeControl(ln, alice)
-	defer cs.Close()
-	cc, err := DialControl(ln.Addr().String())
+	if _, err := cc.Deposit(chID, 5000); err != nil {
+		t.Fatal(err)
+	}
+	// 100 payments of 2 in PayBatch frames of 16, all in flight at once.
+	batch := make([]chain.Amount, 16)
+	for i := range batch {
+		batch[i] = 2
+	}
+	var pending []*client.Pending
+	for sent := 0; sent < 100; sent += len(batch) {
+		p, err := cc.PayBatchAsync(chID, batch[:min(len(batch), 100-sent)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, p)
+	}
+	for _, p := range pending {
+		if err := p.Wait(); err != nil {
+			t.Fatalf("batched pay: %v", err)
+		}
+	}
+	if mine, remote, err := cc.Balances(chID); err != nil || mine != 4800 || remote != 200 {
+		t.Fatalf("balances: %d %d, %v", mine, remote, err)
+	}
+	st, err := cc.Stats()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cc.Close()
-
-	if _, err := cc.Do("attest bob"); err != nil {
-		t.Fatal(err)
+	if len(st.Channels) != 1 {
+		t.Fatalf("channel stats: %+v, want one channel", st.Channels)
 	}
-	chID, err := cc.Do("open bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cc.Do(fmt.Sprintf("fund %s 5000", chID)); err != nil {
-		t.Fatal(err)
-	}
-	if out, err := cc.Do(fmt.Sprintf("pay %s 2 100 16", chID)); err != nil || out != "100 acked" {
-		t.Fatalf("batched pay: %q, %v", out, err)
-	}
-	if out, err := cc.Do(fmt.Sprintf("balances %s", chID)); err != nil || out != "4800 200" {
-		t.Fatalf("balances: %q, %v", out, err)
-	}
-	out, err := cc.Do("stats channels")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("%s sent=100 acked=100 nacked=0 received=0 inflight=0", chID)
-	if !strings.HasPrefix(out, want) {
-		t.Fatalf("stats channels: %q, want prefix %q", out, want)
+	if cs := st.Channels[0]; cs.Channel != chID || cs.Sent != 100 || cs.Acked != 100 ||
+		cs.Nacked != 0 || cs.Received != 0 || cs.InFlight != 0 {
+		t.Fatalf("channel stats: %+v", cs)
 	}
 }

@@ -147,8 +147,8 @@ func (h *Host) payReleased(n uint64) {
 // PayIssuer is a per-connection admission handle: every issuer gets a
 // fair share of the global in-flight ceiling, so one greedy subscriber
 // saturating its share cannot starve the rest. The api server opens one
-// per typed connection; direct Host entry points (and the line shim)
-// issue unshared, bounded only by the per-channel and global budgets.
+// per control connection; direct Host entry points issue unshared,
+// bounded only by the per-channel and global budgets.
 type PayIssuer struct {
 	h        *Host
 	inflight atomic.Int64

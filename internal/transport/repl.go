@@ -61,7 +61,9 @@ const (
 // len(members)+1 keys. Peers are attested first when needed. The chain
 // is pipelined (NewHost saw to that) and the replication flusher
 // starts. Blocks until every member has returned its committee key (the
-// chain is ready for deposits).
+// chain is ready for deposits). A durable host then snapshots at once:
+// forming a chain writes no WAL record, so an owner that crashed before
+// its first periodic snapshot would otherwise come back without it.
 func (h *Host) FormCommittee(members []string, m int, timeout time.Duration) error {
 	if len(members) == 0 {
 		return errors.New("transport: committee needs at least one member")
@@ -97,9 +99,13 @@ func (h *Host) FormCommittee(members []string, m int, timeout time.Duration) err
 	if startFlusher {
 		go h.replFlusher()
 	}
-	return h.await(timeout, committeeReadyAwaitWhat, func() bool {
+	if err := h.await(timeout, committeeReadyAwaitWhat, func() bool {
 		return h.enclave.CommitteeReady()
-	})
+	}); err != nil || !h.enclave.Durable() {
+		return err
+	}
+	_, err = h.SnapshotNow()
+	return err
 }
 
 // kickRepl wakes the replication flusher without blocking; it doubles

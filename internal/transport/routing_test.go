@@ -2,13 +2,10 @@ package transport
 
 import (
 	"errors"
-	"net"
-	"strings"
 	"testing"
 	"time"
 
 	"teechain/internal/api"
-	"teechain/internal/api/client"
 	"teechain/internal/chain"
 	"teechain/internal/core"
 	"teechain/internal/cryptoutil"
@@ -271,17 +268,7 @@ func TestRoutedPaymentViaControlPlane(t *testing.T) {
 	c.awaitEdge("alice", "alice", "bob", 500)
 	c.awaitEdge("alice", "bob", "carol", 500)
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs := ServeControl(ln, c.hosts["alice"])
-	defer cs.Close()
-	tc, err := client.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tc.Close()
+	tc := dialControl(t, c.hosts["alice"])
 
 	carolID := api.FormatIdentity(c.hosts["carol"].Identity())
 
@@ -327,26 +314,6 @@ func TestRoutedPaymentViaControlPlane(t *testing.T) {
 		return false
 	})
 
-	// The line shim speaks the same surface.
-	lc, err := DialControl(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lc.Close()
-	out, err := lc.Do("payroute " + carolID + " 50")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out, "hops 3 send 52 fee 2 via ") {
-		t.Fatalf("shim payroute: %q", out)
-	}
-	out, err = lc.Do("stats routing")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "edges=4") || !strings.Contains(out, "fee_base=0") {
-		t.Fatalf("shim stats routing: %q", out)
-	}
 }
 
 // TestRoutedPayNoRoute pins the error shape when the graph cannot

@@ -1,12 +1,13 @@
 package transport
 
 import (
-	"fmt"
+	"errors"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
+	"teechain/internal/api"
+	"teechain/internal/api/client"
 	"teechain/internal/chain"
 	"teechain/internal/core"
 	"teechain/internal/cryptoutil"
@@ -234,58 +235,65 @@ func TestMutualDialClosesCleanly(t *testing.T) {
 	}
 }
 
-// TestControlAPI drives a two-node deployment purely through the
-// line-based control protocol.
-func TestControlAPI(t *testing.T) {
-	alice, _, _ := setupPair(t)
-
+// dialControl serves h's control API on a loopback port and returns a
+// connected typed client; both close with the test.
+func dialControl(t *testing.T, h *Host) *client.Conn {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := ServeControl(ln, alice)
-	defer cs.Close()
-
-	cc, err := DialControl(ln.Addr().String())
+	srv := api.Serve(ln, h.API(), h.logf)
+	t.Cleanup(srv.Close)
+	cc, err := client.Dial(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cc.Close()
+	t.Cleanup(func() { cc.Close() })
+	return cc
+}
 
-	if out, err := cc.Do("ping"); err != nil || out != "pong" {
-		t.Fatalf("ping: %q, %v", out, err)
+// TestControlAPI drives a two-node deployment purely through the
+// control-plane API.
+func TestControlAPI(t *testing.T) {
+	alice, _, _ := setupPair(t)
+	cc := dialControl(t, alice)
+
+	if cc.Info().Name != "alice" {
+		t.Fatalf("hello: %+v", cc.Info())
 	}
-	if _, err := cc.Do("attest bob"); err != nil {
+	if err := cc.Attest("bob"); err != nil {
 		t.Fatal(err)
 	}
-	chID, err := cc.Do("open bob")
+	chID, err := cc.OpenChannel("bob")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Do(fmt.Sprintf("fund %s 500", chID)); err != nil {
+	if _, err := cc.Deposit(chID, 500); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := cc.Do(fmt.Sprintf("pay %s 5 20", chID)); err != nil || out != "20 acked" {
-		t.Fatalf("pay: %q, %v", out, err)
+	if err := cc.Pay(chID, 5, 20); err != nil {
+		t.Fatalf("pay: %v", err)
 	}
-	if out, err := cc.Do(fmt.Sprintf("balances %s", chID)); err != nil || out != "400 100" {
-		t.Fatalf("balances: %q, %v", out, err)
+	if mine, remote, err := cc.Balances(chID); err != nil || mine != 400 || remote != 100 {
+		t.Fatalf("balances: %d %d, %v", mine, remote, err)
 	}
-	if _, err := cc.Do(fmt.Sprintf("settle %s", chID)); err != nil {
+	if err := cc.Settle(chID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Do("mine"); err != nil {
+	if _, err := cc.Mine(1); err != nil {
 		t.Fatal(err)
 	}
-	if out, err := cc.Do("balance"); err != nil || out != "400" {
-		t.Fatalf("balance: %q, %v", out, err)
+	if bal, err := cc.Balance(); err != nil || bal != 400 {
+		t.Fatalf("balance: %d, %v", bal, err)
 	}
-	stats, err := cc.Do("stats")
-	if err != nil || !strings.Contains(stats, "acked=20") {
-		t.Fatalf("stats: %q, %v", stats, err)
+	st, err := cc.Stats()
+	if err != nil || st.Host.PaymentsAcked != 20 {
+		t.Fatalf("stats: %+v, %v", st, err)
 	}
-	if _, err := cc.Do("bogus"); err == nil {
-		t.Fatal("control accepted unknown command")
+	var ae *api.Error
+	if _, _, err := cc.Balances("no-such-channel"); !errors.As(err, &ae) || ae.Code != api.CodeNotFound {
+		t.Fatalf("balances of an unknown channel: %v, want CodeNotFound", err)
 	}
 }
 
