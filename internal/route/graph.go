@@ -13,7 +13,9 @@ package route
 
 import (
 	"bytes"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"teechain/internal/chain"
@@ -64,32 +66,49 @@ type Edge struct {
 
 // Graph is a node's view of the payment-channel network: directed
 // capacity/fee edges keyed by (channel, announcer), staleness-resolved
-// by announcement version. Safe for concurrent use.
+// by announcement version. Safe for concurrent use: it takes its own
+// lock, so gossip never needs the host's.
 type Graph struct {
 	mu    sync.RWMutex
 	edges map[EdgeKey]*Edge
-	// snap is the pathfinder's view of edges, built by snapshot on the
-	// first query after a change and shared, read-only, by every query
-	// until Apply changes an edge again (nil = stale).
-	snap map[cryptoutil.PublicKey][]Edge
+	// snap is the pathfinder's view of the open edges, shared read-only
+	// by every query until an announcement moves an edge. topoStale
+	// marks a new, closed or re-pointed edge since it was built (the
+	// node numbering and edge layout must be rebuilt); fieldsStale an
+	// edge whose capacity or fee alone moved (a fresh copy of the flat
+	// edge array refreshes them over the same layout).
+	snap        *snapshot
+	topoStale   bool
+	fieldsStale bool
 }
 
 // NewGraph returns an empty graph.
 func NewGraph() *Graph {
-	return &Graph{edges: make(map[EdgeKey]*Edge)}
+	return &Graph{edges: make(map[EdgeKey]*Edge), topoStale: true}
 }
 
 // Apply folds one announcement into the graph. It reports whether the
 // announcement was fresher than what the graph held — the flood
 // protocol only re-broadcasts announcements that report true, which is
 // what keeps a mesh flood from amplifying O(n²).
-func (g *Graph) Apply(ann *wire.ChanAnnounce) bool {
+func (g *Graph) Apply(ann *wire.EdgeAnnounce) bool {
 	key := EdgeKey{Channel: ann.Channel, From: ann.From}
+	fee := FeePolicy{Base: ann.FeeBase, RatePPM: ann.FeeRatePPM}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	e, ok := g.edges[key]
 	if ok && ann.Version <= e.Version {
 		return false
+	}
+	switch {
+	case !ok || e.Closed:
+		// A new edge, or a retracted one coming back: only an open
+		// one is the pathfinder's business.
+		g.topoStale = g.topoStale || !ann.Closed
+	case ann.Closed || ann.To != e.To:
+		g.topoStale = true
+	case ann.Capacity != e.Capacity || fee != e.Fee:
+		g.fieldsStale = true
 	}
 	if !ok {
 		e = new(Edge)
@@ -100,11 +119,10 @@ func (g *Graph) Apply(ann *wire.ChanAnnounce) bool {
 		From:     ann.From,
 		To:       ann.To,
 		Capacity: ann.Capacity,
-		Fee:      FeePolicy{Base: ann.FeeBase, RatePPM: ann.FeeRatePPM},
+		Fee:      fee,
 		Version:  ann.Version,
 		Closed:   ann.Closed,
 	}
-	g.snap = nil
 	return true
 }
 
@@ -178,7 +196,7 @@ func (g *Graph) Digest() []wire.GossipDigest {
 // strictly higher version than the summary claims — including edges
 // the summary omits entirely. This is the anti-entropy response: send
 // these to the summary's sender and its graph catches up.
-func (g *Graph) Fresher(sum *wire.GossipSummary) []wire.ChanAnnounce {
+func (g *Graph) Fresher(sum *wire.GossipSummary) []wire.EdgeAnnounce {
 	theirs := make(map[EdgeKey]uint64, len(sum.Entries))
 	for i := range sum.Entries {
 		e := &sum.Entries[i]
@@ -186,7 +204,7 @@ func (g *Graph) Fresher(sum *wire.GossipSummary) []wire.ChanAnnounce {
 	}
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	var out []wire.ChanAnnounce
+	var out []wire.EdgeAnnounce
 	for key, e := range g.edges {
 		if e.Version > theirs[key] {
 			out = append(out, announceEdge(e))
@@ -201,8 +219,8 @@ func (g *Graph) Fresher(sum *wire.GossipSummary) []wire.ChanAnnounce {
 	return out
 }
 
-func announceEdge(e *Edge) wire.ChanAnnounce {
-	return wire.ChanAnnounce{
+func announceEdge(e *Edge) wire.EdgeAnnounce {
+	return wire.EdgeAnnounce{
 		Channel:    e.Channel,
 		From:       e.From,
 		To:         e.To,
@@ -214,39 +232,115 @@ func announceEdge(e *Edge) wire.ChanAnnounce {
 	}
 }
 
-// snapshot returns the open edges for pathfinder queries, indexed by
-// head node (the backward Dijkstra relaxes reversed edges). It is built
-// once per graph change — announcements are rare next to route queries
-// — and callers must not modify it. The index is deterministic: in-edge
-// lists are sorted by (tail, channel), so path choice never depends on
-// map iteration order.
-func (g *Graph) snapshot() map[cryptoutil.PublicKey][]Edge {
+// topology is the part of a snapshot that only a new, closed or
+// re-pointed edge changes: the node numbering and the edge layout.
+// Nodes are numbered in key-byte order, so comparing numbers compares
+// keys and every tie-break of the pathfinder is the same as if it
+// compared keys.
+type topology struct {
+	nodes []cryptoutil.PublicKey // node number → key, ascending
+	// in[v]:in[v+1] are the positions of the edges into node v (the
+	// backward search relaxes reversed edges), sorted by (tail, channel).
+	in []int32
+	// recs[i] is the graph record the edge at position i mirrors; only
+	// read under Graph.mu, to refresh capacities and fees.
+	recs []*Edge
+}
+
+// flatEdge is one open edge as the pathfinder sees it.
+type flatEdge struct {
+	from     int32 // tail node number
+	capacity chain.Amount
+	fee      FeePolicy
+	channel  wire.ChannelID
+}
+
+// snapshot is the pathfinder's read-only view of the open edges.
+// Nothing modifies one once it is handed out: an announcement makes the
+// next query build a new one.
+type snapshot struct {
+	topo  *topology
+	edges []flatEdge // by position, as laid out in topo
+}
+
+// node returns the number of key, or -1 when no open edge touches it.
+func (t *topology) node(key cryptoutil.PublicKey) int32 {
+	i, ok := slices.BinarySearchFunc(t.nodes, key, cmpKey)
+	if !ok {
+		return -1
+	}
+	return int32(i)
+}
+
+func cmpKey(a, b cryptoutil.PublicKey) int { return bytes.Compare(a[:], b[:]) }
+
+// snapshot returns the current pathfinder view. Announcements are not
+// rare next to route queries: under routed load every node receives
+// several for each query it makes (about 0.44 per payment network-wide
+// against one query per 16 payments on 16 nodes), so most queries
+// meet a changed graph. Nearly all of those announcements only move a
+// capacity, so that case is cheap: a copy of the flat edge array with
+// the moved fields refreshed, over the same topology. Only a new,
+// closed or re-pointed edge renumbers the nodes and re-sorts the edges.
+func (g *Graph) snapshot() *snapshot {
 	g.mu.RLock()
-	in := g.snap
+	s := g.snap
+	if g.topoStale || g.fieldsStale {
+		s = nil
+	}
 	g.mu.RUnlock()
-	if in != nil {
-		return in
+	if s != nil {
+		return s
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.snap != nil {
-		return g.snap
-	}
-	in = make(map[cryptoutil.PublicKey][]Edge)
-	for _, e := range g.edges {
-		if e.Closed {
-			continue
+	switch {
+	case g.topoStale:
+		g.snap = g.buildLocked()
+	case g.fieldsStale:
+		edges := slices.Clone(g.snap.edges)
+		for i, e := range g.snap.topo.recs {
+			edges[i].capacity, edges[i].fee = e.Capacity, e.Fee
 		}
-		in[e.To] = append(in[e.To], *e)
+		g.snap = &snapshot{topo: g.snap.topo, edges: edges}
 	}
-	for _, edges := range in {
-		sort.Slice(edges, func(i, j int) bool {
-			if c := bytes.Compare(edges[i].From[:], edges[j].From[:]); c != 0 {
-				return c < 0
-			}
-			return edges[i].Channel < edges[j].Channel
-		})
+	g.topoStale, g.fieldsStale = false, false
+	return g.snap
+}
+
+// buildLocked numbers the endpoints of the open edges and lays the
+// edges out by (head, tail, channel). Caller holds g.mu exclusively.
+func (g *Graph) buildLocked() *snapshot {
+	t := &topology{}
+	for _, e := range g.edges {
+		if !e.Closed {
+			t.recs = append(t.recs, e)
+			t.nodes = append(t.nodes, e.From, e.To)
+		}
 	}
-	g.snap = in
-	return in
+	slices.SortFunc(t.nodes, cmpKey)
+	t.nodes = slices.Compact(t.nodes)
+	slices.SortFunc(t.recs, func(a, b *Edge) int {
+		if c := cmpKey(a.To, b.To); c != 0 {
+			return c
+		}
+		if c := cmpKey(a.From, b.From); c != 0 {
+			return c
+		}
+		return strings.Compare(string(a.Channel), string(b.Channel))
+	})
+	t.in = make([]int32, len(t.nodes)+1)
+	edges := make([]flatEdge, len(t.recs))
+	head := int32(0)
+	for i, e := range t.recs {
+		for t.nodes[head] != e.To {
+			head++
+			t.in[head] = int32(i)
+		}
+		edges[i] = flatEdge{from: t.node(e.From), capacity: e.Capacity, fee: e.Fee, channel: e.Channel}
+	}
+	for head++; int(head) <= len(t.nodes); head++ {
+		t.in[head] = int32(len(t.recs))
+	}
+	return &snapshot{topo: t, edges: edges}
 }

@@ -63,15 +63,18 @@ func StandingHint(announced, balance chain.Amount) chain.Amount {
 //
 // The manager never touches sockets. The transport attaches each live
 // peer connection, hands incoming gossip to Handle/HandleSummary, and
-// drains per-peer queues into frames whenever Kicked peers have work —
-// keeping all locking here independent of the host's wide lock.
+// drains per-peer queues into frames whenever peers have work. The
+// manager and its graph take their own locks, so none of this needs
+// the host's wide lock in write mode.
 type Manager struct {
 	self  cryptoutil.PublicKey
 	graph *Graph
 
-	mu      sync.Mutex
-	peers   map[cryptoutil.PublicKey]*peerQueue
-	version map[wire.ChannelID]uint64 // own per-channel announcement versions
+	mu    sync.Mutex
+	peers map[cryptoutil.PublicKey]*peerQueue
+	// own is what the node last announced for each of its channels:
+	// the record Announce applies the hint rule against.
+	own map[wire.ChannelID]wire.EdgeAnnounce
 
 	suppressed uint64 // stale floods dropped by version dedup
 	dropped    uint64 // announcements lost to a full peer queue
@@ -80,17 +83,17 @@ type Manager struct {
 // peerQueue is one peer's pending announcements: FIFO over edge keys,
 // coalescing repeat announcements for the same edge.
 type peerQueue struct {
-	pending map[EdgeKey]wire.ChanAnnounce
+	pending map[EdgeKey]wire.EdgeAnnounce
 	order   []EdgeKey
 }
 
 // NewManager returns a gossip manager for the node with identity self.
 func NewManager(self cryptoutil.PublicKey) *Manager {
 	return &Manager{
-		self:    self,
-		graph:   NewGraph(),
-		peers:   make(map[cryptoutil.PublicKey]*peerQueue),
-		version: make(map[wire.ChannelID]uint64),
+		self:  self,
+		graph: NewGraph(),
+		peers: make(map[cryptoutil.PublicKey]*peerQueue),
+		own:   make(map[wire.ChannelID]wire.EdgeAnnounce),
 	}
 }
 
@@ -104,7 +107,7 @@ func (m *Manager) AttachPeer(id cryptoutil.PublicKey) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, ok := m.peers[id]; !ok {
-		m.peers[id] = &peerQueue{pending: make(map[EdgeKey]wire.ChanAnnounce)}
+		m.peers[id] = &peerQueue{pending: make(map[EdgeKey]wire.EdgeAnnounce)}
 	}
 }
 
@@ -113,7 +116,7 @@ func (m *Manager) AttachPeer(id cryptoutil.PublicKey) {
 // one it arrived from. It reports whether the graph changed — and so
 // whether peer queues hold anything to drain; stale duplicates are
 // counted and go no further — the flood-storm guard.
-func (m *Manager) Handle(from cryptoutil.PublicKey, ann *wire.ChanAnnounce) bool {
+func (m *Manager) Handle(from cryptoutil.PublicKey, ann *wire.EdgeAnnounce) bool {
 	if !m.graph.Apply(ann) {
 		m.mu.Lock()
 		m.suppressed++
@@ -126,42 +129,46 @@ func (m *Manager) Handle(from cryptoutil.PublicKey, ann *wire.ChanAnnounce) bool
 
 // Announce versions and floods one of the node's own directed edges,
 // applying it to the local graph first. The announced capacity is the
-// StandingHint of balance against what the graph already holds from
-// us. A no-op announcement (the hint stands and nothing else about the
-// edge moved) is swallowed without a version bump, so hosts can
+// StandingHint of balance against what the node last announced for the
+// channel. A no-op announcement (the hint stands and nothing else about
+// the edge moved) is swallowed without a version bump, so hosts can
 // re-announce whole channel sets after every cold operation and only
 // real changes hit the wire. It returns the edge as now announced and
 // whether that was a fresh announcement, queued for every peer.
-func (m *Manager) Announce(channel wire.ChannelID, to cryptoutil.PublicKey, balance chain.Amount, fee FeePolicy, closed bool) (wire.ChanAnnounce, bool) {
+func (m *Manager) Announce(channel wire.ChannelID, to cryptoutil.PublicKey, balance chain.Amount, fee FeePolicy, closed bool) (wire.EdgeAnnounce, bool) {
+	m.mu.Lock()
+	last, ok := m.own[channel]
 	capacity := HintCapacity(balance)
-	if e, ok := m.graph.Edge(EdgeKey{Channel: channel, From: m.self}); ok {
-		capacity = StandingHint(e.Capacity, balance)
-		if e.To == to && e.Capacity == capacity && e.Fee == fee && e.Closed == closed {
-			return announceEdge(&e), false
+	if ok {
+		capacity = StandingHint(last.Capacity, balance)
+		if last.To == to && last.Capacity == capacity && last.FeeBase == fee.Base && last.FeeRatePPM == fee.RatePPM && last.Closed == closed {
+			m.mu.Unlock()
+			return last, false
 		}
 	}
-	m.mu.Lock()
-	m.version[channel]++
-	v := m.version[channel]
-	m.mu.Unlock()
-	ann := wire.ChanAnnounce{
+	ann := wire.EdgeAnnounce{
 		Channel:    channel,
 		From:       m.self,
 		To:         to,
 		Capacity:   capacity,
 		FeeBase:    fee.Base,
 		FeeRatePPM: fee.RatePPM,
-		Version:    v,
+		Version:    last.Version + 1,
 		Closed:     closed,
 	}
+	m.own[channel] = ann
+	m.mu.Unlock()
 	m.graph.Apply(&ann)
 	m.enqueue(ann, m.self)
 	return ann, true
 }
 
 // enqueue queues ann for every attached peer except skip, coalescing
-// by edge key and dropping (counted) on a full queue.
-func (m *Manager) enqueue(ann wire.ChanAnnounce, skip cryptoutil.PublicKey) {
+// by edge key and dropping (counted) on a full queue. Gossip from
+// different peers is handled concurrently, so two versions of one edge
+// can reach here in either order: a queued entry is only ever replaced
+// by a newer version.
+func (m *Manager) enqueue(ann wire.EdgeAnnounce, skip cryptoutil.PublicKey) {
 	key := EdgeKey{Channel: ann.Channel, From: ann.From}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -171,8 +178,10 @@ func (m *Manager) enqueue(ann wire.ChanAnnounce, skip cryptoutil.PublicKey) {
 			// is the n² amplification this guard exists to kill.
 			continue
 		}
-		if _, queued := q.pending[key]; queued {
-			q.pending[key] = ann // coalesce: newer version replaces
+		if queued, ok := q.pending[key]; ok {
+			if ann.Version > queued.Version {
+				q.pending[key] = ann // coalesce: newer version replaces
+			}
 			continue
 		}
 		if len(q.order) >= MaxPeerQueue {
@@ -184,43 +193,43 @@ func (m *Manager) enqueue(ann wire.ChanAnnounce, skip cryptoutil.PublicKey) {
 	}
 }
 
-// Drain removes and returns up to max pending announcements for one
-// peer, in FIFO order. It returns nil when the peer has nothing queued
-// (or is not attached).
-func (m *Manager) Drain(peer cryptoutil.PublicKey, max int) []wire.ChanAnnounce {
+// Drain removes up to max pending announcements for one peer (all of
+// them when max <= 0), in FIFO order, and appends them to dst. It
+// appends nothing when the peer has nothing queued (or is not
+// attached).
+func (m *Manager) Drain(peer cryptoutil.PublicKey, dst []wire.EdgeAnnounce, max int) []wire.EdgeAnnounce {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	q, ok := m.peers[peer]
 	if !ok || len(q.order) == 0 {
-		return nil
+		return dst
 	}
 	n := len(q.order)
 	if max > 0 && n > max {
 		n = max
 	}
-	out := make([]wire.ChanAnnounce, 0, n)
 	for _, key := range q.order[:n] {
 		if ann, ok := q.pending[key]; ok {
-			out = append(out, ann)
+			dst = append(dst, ann)
 			delete(q.pending, key)
 		}
 	}
 	rest := q.order[n:]
 	q.order = append(q.order[:0], rest...)
-	return out
+	return dst
 }
 
-// PendingPeers lists the attached peers with queued announcements.
-func (m *Manager) PendingPeers() []cryptoutil.PublicKey {
+// PendingPeers appends to dst the attached peers with queued
+// announcements.
+func (m *Manager) PendingPeers(dst []cryptoutil.PublicKey) []cryptoutil.PublicKey {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []cryptoutil.PublicKey
 	for id, q := range m.peers {
 		if len(q.order) > 0 {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
 // Summaries digests the whole graph for anti-entropy, chunked to the
@@ -246,7 +255,7 @@ func (m *Manager) Summaries() []wire.GossipSummary {
 // HandleSummary answers a peer's anti-entropy summary with every
 // announcement the local graph holds at a fresher version (or that the
 // summary omits). The caller sends the result straight back to from.
-func (m *Manager) HandleSummary(from cryptoutil.PublicKey, sum *wire.GossipSummary) []wire.ChanAnnounce {
+func (m *Manager) HandleSummary(from cryptoutil.PublicKey, sum *wire.GossipSummary) []wire.EdgeAnnounce {
 	return m.graph.Fresher(sum)
 }
 

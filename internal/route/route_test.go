@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"teechain/internal/chain"
@@ -22,8 +23,14 @@ func nodeKey(n int) cryptoutil.PublicKey {
 // addEdge installs a bidirectional channel between a and b with the
 // given per-direction capacities and fee policies, version 1.
 func addEdge(g *Graph, ch wire.ChannelID, a, b cryptoutil.PublicKey, capA, capB chain.Amount, feeA, feeB FeePolicy) {
-	g.Apply(&wire.ChanAnnounce{Channel: ch, From: a, To: b, Capacity: capA, FeeBase: feeA.Base, FeeRatePPM: feeA.RatePPM, Version: 1})
-	g.Apply(&wire.ChanAnnounce{Channel: ch, From: b, To: a, Capacity: capB, FeeBase: feeB.Base, FeeRatePPM: feeB.RatePPM, Version: 1})
+	g.Apply(&wire.EdgeAnnounce{Channel: ch, From: a, To: b, Capacity: capA, FeeBase: feeA.Base, FeeRatePPM: feeA.RatePPM, Version: 1})
+	g.Apply(&wire.EdgeAnnounce{Channel: ch, From: b, To: a, Capacity: capB, FeeBase: feeB.Base, FeeRatePPM: feeB.RatePPM, Version: 1})
+}
+
+// routeCost is what the pathfinder minimises: the forwarding fees plus
+// hopCost per hop.
+func routeCost(r Route, hopCost chain.Amount) chain.Amount {
+	return r.TotalFee() + hopCost*chain.Amount(len(r.Hops)-1)
 }
 
 func TestFeePolicy(t *testing.T) {
@@ -48,7 +55,7 @@ func TestFeePolicy(t *testing.T) {
 func TestGraphStaleness(t *testing.T) {
 	g := NewGraph()
 	a, b := nodeKey(1), nodeKey(2)
-	ann := wire.ChanAnnounce{Channel: "ch-1", From: a, To: b, Capacity: 100, Version: 3}
+	ann := wire.EdgeAnnounce{Channel: "ch-1", From: a, To: b, Capacity: 100, Version: 3}
 	if !g.Apply(&ann) {
 		t.Fatal("fresh announcement rejected")
 	}
@@ -137,7 +144,7 @@ func TestFindRouteFees(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantHops := []cryptoutil.PublicKey{a, b, c, d}
-	if !hopsEqual(r.Hops, wantHops) {
+	if !slices.Equal(r.Hops, wantHops) {
 		t.Fatalf("hops %v", r.Hops)
 	}
 	// C forwards 1000 to D, charging its own policy (base 3): fee 3,
@@ -166,7 +173,7 @@ func TestFindRouteCheapest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hopsEqual(r.Hops, []cryptoutil.PublicKey{src, y, dst}) || r.TotalFee() != 2 {
+	if !slices.Equal(r.Hops, []cryptoutil.PublicKey{src, y, dst}) || r.TotalFee() != 2 {
 		t.Fatalf("picked %v fee %d, want via y fee 2", r.Hops, r.TotalFee())
 	}
 
@@ -202,13 +209,13 @@ func TestFindRouteCapacityPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hopsEqual(r.Hops, []cryptoutil.PublicKey{src, y, dst}) {
+	if !slices.Equal(r.Hops, []cryptoutil.PublicKey{src, y, dst}) {
 		t.Fatalf("capacity pruning failed: %v", r.Hops)
 	}
 
 	// Fee-compounding case: y charges 50, so the src→y edge must carry
 	// 550. Cap it at 520 and the route must disappear entirely.
-	g.Apply(&wire.ChanAnnounce{Channel: "ch-sy", From: src, To: y, Capacity: 520, Version: 2})
+	g.Apply(&wire.EdgeAnnounce{Channel: "ch-sy", From: src, To: y, Capacity: 520, Version: 2})
 	if _, err := g.FindRoute(src, dst, 500, 0); err != ErrNoRoute {
 		t.Fatalf("want ErrNoRoute when fee-inclusive amount exceeds capacity, got %v", err)
 	}
@@ -218,7 +225,7 @@ func TestFindRouteCapacityPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !hopsEqual(r.Hops, []cryptoutil.PublicKey{src, x, dst}) {
+	if !slices.Equal(r.Hops, []cryptoutil.PublicKey{src, x, dst}) {
 		t.Fatalf("want cheap path at smaller amount, got %v", r.Hops)
 	}
 }
@@ -245,10 +252,10 @@ func TestFindRoutesKShortest(t *testing.T) {
 	}
 	wantVia := []cryptoutil.PublicKey{x, y, z}
 	for i, r := range routes {
-		if !hopsEqual(r.Hops, []cryptoutil.PublicKey{src, wantVia[i], dst}) {
+		if !slices.Equal(r.Hops, []cryptoutil.PublicKey{src, wantVia[i], dst}) {
 			t.Fatalf("route %d hops %v", i, r.Hops)
 		}
-		if i > 0 && routeLess(r, routes[i-1], DefaultHopCost) {
+		if i > 0 && routeCost(r, DefaultHopCost) < routeCost(routes[i-1], DefaultHopCost) {
 			t.Fatalf("routes out of cost order at %d", i)
 		}
 		if r.Send != r.Amount+r.TotalFee() {
@@ -280,7 +287,7 @@ func TestFindRouteDeterministic(t *testing.T) {
 	}
 	for i := 0; i < 50; i++ {
 		r, err := g.FindRoute(src, dst, 100, 0)
-		if err != nil || !hopsEqual(r.Hops, first.Hops) {
+		if err != nil || !slices.Equal(r.Hops, first.Hops) {
 			t.Fatalf("run %d picked %v, first run picked %v (err %v)", i, r.Hops, first.Hops, err)
 		}
 	}
@@ -309,7 +316,7 @@ func TestManagerFloodSuppression(t *testing.T) {
 	m.AttachPeer(p1)
 	m.AttachPeer(p2)
 
-	ann := wire.ChanAnnounce{Channel: "ch-1", From: origin, To: p1, Capacity: 10, Version: 1}
+	ann := wire.EdgeAnnounce{Channel: "ch-1", From: origin, To: p1, Capacity: 10, Version: 1}
 	if !m.Handle(origin, &ann) {
 		t.Fatal("fresh announcement not applied")
 	}
@@ -322,7 +329,7 @@ func TestManagerFloodSuppression(t *testing.T) {
 		t.Fatalf("suppressed = %d, want 1", sup)
 	}
 	// p1 got the original flood; the duplicate added nothing.
-	if got := m.Drain(p1, 0); len(got) != 1 || got[0].Version != 1 {
+	if got := m.Drain(p1, nil, 0); len(got) != 1 || got[0].Version != 1 {
 		t.Fatalf("p1 drain: %+v", got)
 	}
 
@@ -333,11 +340,11 @@ func TestManagerFloodSuppression(t *testing.T) {
 	v3.Version, v3.Capacity = 3, 30
 	m.Handle(origin, &v2)
 	m.Handle(origin, &v3)
-	got := m.Drain(p2, 0)
+	got := m.Drain(p2, nil, 0)
 	if len(got) != 1 || got[0].Version != 3 || got[0].Capacity != 30 {
 		t.Fatalf("p2 drain did not coalesce to newest: %+v", got)
 	}
-	if got := m.Drain(p2, 0); got != nil {
+	if got := m.Drain(p2, nil, 0); got != nil {
 		t.Fatalf("drained queue not empty: %+v", got)
 	}
 	// The announcement's own origin never gets it echoed back.
@@ -345,7 +352,7 @@ func TestManagerFloodSuppression(t *testing.T) {
 	v4 := ann
 	v4.Version = 4
 	m.Handle(p1, &v4)
-	if got := m.Drain(origin, 0); got != nil {
+	if got := m.Drain(origin, nil, 0); got != nil {
 		t.Fatalf("origin echoed its own edge: %+v", got)
 	}
 }
@@ -357,7 +364,7 @@ func TestManagerQueueBound(t *testing.T) {
 	m := NewManager(self)
 	m.AttachPeer(peer)
 	for i := 0; i < MaxPeerQueue+10; i++ {
-		ann := wire.ChanAnnounce{
+		ann := wire.EdgeAnnounce{
 			Channel: wire.ChannelID(fmt.Sprintf("ch-%05d", i)),
 			From:    origin, To: self, Capacity: 1, Version: 1,
 		}
@@ -366,7 +373,7 @@ func TestManagerQueueBound(t *testing.T) {
 	if _, dropped := m.Stats(); dropped != 10 {
 		t.Fatalf("dropped = %d, want 10", dropped)
 	}
-	got := m.Drain(peer, 0)
+	got := m.Drain(peer, nil, 0)
 	if len(got) != MaxPeerQueue {
 		t.Fatalf("drained %d, want %d", len(got), MaxPeerQueue)
 	}
@@ -394,7 +401,7 @@ func TestManagerAnnounceAndSummaries(t *testing.T) {
 	if e, _ := m.Graph().Edge(EdgeKey{Channel: "ch-1", From: self}); e.Capacity != 80 {
 		t.Fatalf("local graph not updated: %+v", e)
 	}
-	got := m.Drain(peer, 0)
+	got := m.Drain(peer, nil, 0)
 	if len(got) != 1 || got[0].Capacity != 80 {
 		t.Fatalf("flood did not coalesce local announcements: %+v", got)
 	}
@@ -402,7 +409,7 @@ func TestManagerAnnounceAndSummaries(t *testing.T) {
 	if a4, fresh := m.Announce("ch-1", peer, 150, FeePolicy{Base: 3}, false); !fresh || a4.Version != 3 || a4.Capacity != 80 {
 		t.Fatalf("fee change under a standing hint: fresh %v, %+v", fresh, a4)
 	}
-	m.Drain(peer, 0)
+	m.Drain(peer, nil, 0)
 	a2.Version, a2.FeeBase = 3, 3
 	sums := m.Summaries()
 	if len(sums) != 1 || len(sums[0].Entries) != 1 {
@@ -561,24 +568,35 @@ func TestStandingHint(t *testing.T) {
 }
 
 // TestSnapshotInvalidation: FindRoute answers from a snapshot that
-// survives between queries and is rebuilt only after Apply changed an
-// edge — a stale announcement leaves it alone.
+// survives between queries. A stale announcement leaves it alone; one
+// that only moves a capacity or fee gets a fresh edge array over the
+// same topology; a new, closed or re-pointed edge rebuilds the
+// topology. A snapshot already handed out never changes.
 func TestSnapshotInvalidation(t *testing.T) {
 	g := NewGraph()
-	a, b, c := nodeKey(1), nodeKey(2), nodeKey(3)
+	a, b, c, d := nodeKey(1), nodeKey(2), nodeKey(3), nodeKey(4)
 	addEdge(g, "ab", a, b, 100, 100, FeePolicy{}, FeePolicy{})
 	addEdge(g, "bc", b, c, 100, 100, FeePolicy{}, FeePolicy{})
 	first := g.snapshot()
+	frozen := slices.Clone(first.edges)
+	unchanged := func() {
+		t.Helper()
+		if !reflect.DeepEqual(first.edges, frozen) {
+			t.Fatalf("a snapshot handed out earlier was modified: %+v, was %+v", first.edges, frozen)
+		}
+	}
 	if _, err := g.FindRoute(a, c, 50, 0); err != nil {
 		t.Fatal(err)
 	}
-	if reflect.ValueOf(g.snapshot()).Pointer() != reflect.ValueOf(first).Pointer() {
+	if g.snapshot() != first {
 		t.Fatal("snapshot rebuilt with no change to the graph")
 	}
-	stale := wire.ChanAnnounce{Channel: "bc", From: b, To: c, Capacity: 1, Version: 1}
-	if g.Apply(&stale) || reflect.ValueOf(g.snapshot()).Pointer() != reflect.ValueOf(first).Pointer() {
+	stale := wire.EdgeAnnounce{Channel: "bc", From: b, To: c, Capacity: 1, Version: 1}
+	if g.Apply(&stale) || g.snapshot() != first {
 		t.Fatal("a stale announcement invalidated the snapshot")
 	}
+
+	// Capacity only: same topology, fresh edges.
 	fresh := stale
 	fresh.Version = 2
 	if !g.Apply(&fresh) {
@@ -587,13 +605,88 @@ func TestSnapshotInvalidation(t *testing.T) {
 	if _, err := g.FindRoute(a, c, 50, 0); err != ErrNoRoute {
 		t.Fatalf("route over a drained edge: %v — the pathfinder answered from a stale snapshot", err)
 	}
-	if len(first[c]) != 1 || first[c][0].Capacity != 100 {
-		t.Fatalf("a snapshot handed out earlier was modified: %+v", first[c])
+	second := g.snapshot()
+	if second == first || second.topo != first.topo {
+		t.Fatal("a capacity-only announcement did not reuse the topology")
 	}
-	closed := fresh
-	closed.Version, closed.Closed = 3, true
+	unchanged()
+	// A fee change is the same case; a version bump that moves nothing
+	// keeps the snapshot itself.
+	fee := fresh
+	fee.Version, fee.FeeBase = 3, 7
+	g.Apply(&fee)
+	third := g.snapshot()
+	if third == second || third.topo != first.topo {
+		t.Fatal("a fee-only announcement did not reuse the topology")
+	}
+	same := fee
+	same.Version = 4
+	g.Apply(&same)
+	if g.snapshot() != third {
+		t.Fatal("an announcement that moved nothing invalidated the snapshot")
+	}
+
+	// New, re-pointed and closed edges rebuild the topology.
+	prev := third
+	for _, ann := range []wire.EdgeAnnounce{
+		{Channel: "cd", From: c, To: d, Capacity: 100, Version: 1}, // new edge
+		{Channel: "bc", From: b, To: d, Capacity: 100, Version: 5}, // re-pointed
+		{Channel: "bc", From: b, To: d, Version: 6, Closed: true},  // closed
+		{Channel: "bc", From: b, To: c, Capacity: 100, Version: 7}, // reopened
+	} {
+		if !g.Apply(&ann) {
+			t.Fatalf("%+v rejected", ann)
+		}
+		next := g.snapshot()
+		if next.topo == prev.topo {
+			t.Fatalf("%+v did not rebuild the topology", ann)
+		}
+		prev = next
+	}
+	unchanged()
+	closed := wire.EdgeAnnounce{Channel: "bc", From: b, To: c, Version: 8, Closed: true}
 	g.Apply(&closed)
-	if in := g.snapshot(); len(in[c]) != 0 {
-		t.Fatalf("closed edge still in the snapshot: %+v", in[c])
+	for _, e := range g.snapshot().edges {
+		if e.channel == "bc" && e.from == g.snapshot().topo.node(b) {
+			t.Fatalf("closed edge still in the snapshot: %+v", e)
+		}
 	}
+	// A closed edge nobody knew is not the pathfinder's business.
+	ghost := wire.EdgeAnnounce{Channel: "zz", From: a, To: d, Version: 1, Closed: true}
+	last := g.snapshot()
+	g.Apply(&ghost)
+	if g.snapshot() != last {
+		t.Fatal("an unknown closed edge invalidated the snapshot")
+	}
+}
+
+// TestFindRouteAllocs is the pathfinder's allocation gate: a query over
+// a standing snapshot of a 16-node network allocates the route it
+// returns and little else — no per-query index, maps or boxed heap
+// items. (It made 37 allocations when the search ran over maps keyed by
+// node key.)
+func TestFindRouteAllocs(t *testing.T) {
+	g := NewGraph()
+	const n = 16
+	fee := FeePolicy{Base: 1, RatePPM: 1000}
+	link := func(a, b int) {
+		addEdge(g, wire.ChannelID(fmt.Sprintf("ch-%d-%d", a, b)), nodeKey(a), nodeKey(b), 5000, 5000, fee, fee)
+	}
+	for i := 0; i < n; i++ {
+		link(i, (i+1)%n) // a ring, so every pair is routable...
+		link(i, (i+5)%n) // ...and chords, so routes compete
+	}
+	src, dst := nodeKey(0), nodeKey(9)
+	if _, err := g.FindRoute(src, dst, 100, 0); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := g.FindRoute(src, dst, 100, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 12 {
+		t.Fatalf("FindRoute over a standing 16-node snapshot allocates %.0f times, budget is 12", allocs)
+	}
+	t.Logf("%.0f allocations per query", allocs)
 }

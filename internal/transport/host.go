@@ -290,6 +290,10 @@ type Host struct {
 	replBatchesOut atomic.Uint64
 	replOpsOut     atomic.Uint64
 
+	// gossipKick wakes the gossip flusher (routing.go): an
+	// announcement was queued for some peer.
+	gossipKick chan struct{}
+
 	// WAL flusher plumbing (see wal.go). walFile/walBuf are guarded by
 	// walFileMu (taken after mu when both are needed — never the other
 	// way around); the counters are atomics read lock-free by WalStats.
@@ -394,6 +398,7 @@ func NewHost(cfg Config) (*Host, error) {
 		quit:        make(chan struct{}),
 		replBatch:   &wire.ReplBatch{},
 		walKick:     make(chan struct{}, 1),
+		gossipKick:  make(chan struct{}, 1),
 	}
 	h.resumedChans = make(map[wire.ChannelID]bool)
 	h.ackCond = sync.NewCond(&h.ackMu)
@@ -410,6 +415,8 @@ func NewHost(cfg Config) (*Host, error) {
 			return nil, err
 		}
 	}
+	h.wg.Add(1)
+	go h.gossipFlusher()
 	return h, nil
 }
 
@@ -783,7 +790,25 @@ func (h *Host) handleFrame(ch connHandle, p *peer, f wire.Frame) {
 	if core.LaneMessage(f.Msg) && h.handleLaneFrame(f) {
 		return
 	}
+	// Gossip is tokenless and host-level; it never reaches the enclave
+	// (see internal/route and routing.go).
+	if h.handleGossipFrame(p, f) {
+		return
+	}
 	h.handleWideFrame(ch, p, f)
+}
+
+// countFrameIn counts an inbound frame against its sender's peer record,
+// else the connection's, else the host. Caller holds the wide lock in
+// either mode.
+func (h *Host) countFrameIn(p *peer, from cryptoutil.PublicKey) {
+	if rp := h.peersByID[from]; rp != nil {
+		rp.framesIn.Add(1)
+	} else if p != nil {
+		p.framesIn.Add(1)
+	} else {
+		h.framesMisc.Add(1)
+	}
 }
 
 // handleLaneFrame is the payment fast path: wide lock in read mode plus
@@ -823,9 +848,9 @@ func (h *Host) dispatchLane(p *peer, res *core.Result) {
 	if res == nil {
 		return
 	}
-	for i := range res.Out {
-		h.sendLane(p, res.Out[i].To, res.Out[i].Msg)
-	}
+	// Book the outcome before sending anything: the ack below is what
+	// tells the payer the payment landed, so the counters must already
+	// say so when it does.
 	out := res.PayOutcome()
 	switch out.Kind {
 	case core.PayAcked:
@@ -846,6 +871,9 @@ func (h *Host) dispatchLane(p *peer, res *core.Result) {
 			ci.received.Add(uint64(out.Count))
 		}
 		h.receivedTotal.Add(uint64(out.Count))
+	}
+	for i := range res.Out {
+		h.sendLane(p, res.Out[i].To, res.Out[i].Msg)
 	}
 	if res.HasEvents() {
 		// Payment handlers produce no boxed events; seeing one means a
@@ -934,24 +962,9 @@ func (h *Host) wakeAckWaiters() {
 func (h *Host) handleWideFrame(ch connHandle, p *peer, f wire.Frame) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if rp := h.peersByID[f.From]; rp != nil {
-		rp.framesIn.Add(1)
-	} else if p != nil {
-		p.framesIn.Add(1)
-	} else {
-		h.framesMisc.Add(1)
-	}
-	switch m := f.Msg.(type) {
-	case *wire.Hello:
-		h.handleHelloLocked(ch, p, f.From, m)
-		return
-	case *wire.ChanAnnounce:
-		// Gossip is tokenless and host-level; it never reaches the
-		// enclave (see internal/route and routing.go).
-		h.handleGossipLocked(f.From, m)
-		return
-	case *wire.GossipSummary:
-		h.handleGossipSummaryLocked(f.From, m)
+	h.countFrameIn(p, f.From)
+	if hello, ok := f.Msg.(*wire.Hello); ok {
+		h.handleHelloLocked(ch, p, f.From, hello)
 		return
 	}
 	res, err := h.enclave.HandleSealedBound(f.From, f.Token, f.Code, f.Payload, f.Msg)
@@ -1109,46 +1122,56 @@ func (h *Host) dispatchLocked(res *core.Result) {
 }
 
 func (h *Host) sendLocked(to cryptoutil.PublicKey, msg wire.Message) {
+	if _, ok := msg.(*wire.Attest); ok {
+		// Attest's session does not exist yet.
+		h.sendTokenless(to, msg)
+		return
+	}
 	p := h.peersByID[to]
 	if p == nil {
 		h.drops.Add(1)
 		h.logf("%s: no peer for identity %s, dropping %T", h.cfg.Name, to, msg)
 		return
 	}
-	var frame []byte
-	switch msg.(type) {
-	case *wire.Attest, *wire.ChanAnnounce, *wire.GossipSummary:
-		// Tokenless frames: Attest's session does not exist yet, and
-		// gossip is host-level routing advice that never enters an
-		// enclave (see internal/route).
-		f, err := wire.AppendFrame(p.getBuf(), h.enclave.Identity(), nil, msg)
-		if err != nil {
-			h.drops.Add(1)
-			h.logf("%s: encoding %T: %v", h.cfg.Name, msg, err)
-			return
-		}
-		frame = f
-	default:
-		payload, code, flags, err := wire.EncodePayload(h.widePayload[:0], msg)
-		if err != nil {
-			h.drops.Add(1)
-			h.logf("%s: encoding %T: %v", h.cfg.Name, msg, err)
-			return
-		}
-		h.widePayload = payload
-		tok, err := h.enclave.SealTokenBound(h.wideToken[:0], to, code, payload)
-		if err != nil {
-			h.drops.Add(1)
-			h.logf("%s: sealing token for %s: %v", h.cfg.Name, p.name, err)
-			return
-		}
-		h.wideToken = tok
-		frame, err = wire.AppendFrameRaw(p.getBuf(), h.enclave.Identity(), tok, code, flags, payload)
-		if err != nil {
-			h.drops.Add(1)
-			h.logf("%s: encoding %T: %v", h.cfg.Name, msg, err)
-			return
-		}
+	payload, code, flags, err := wire.EncodePayload(h.widePayload[:0], msg)
+	if err != nil {
+		h.drops.Add(1)
+		h.logf("%s: encoding %T: %v", h.cfg.Name, msg, err)
+		return
+	}
+	h.widePayload = payload
+	tok, err := h.enclave.SealTokenBound(h.wideToken[:0], to, code, payload)
+	if err != nil {
+		h.drops.Add(1)
+		h.logf("%s: sealing token for %s: %v", h.cfg.Name, p.name, err)
+		return
+	}
+	h.wideToken = tok
+	frame, err := wire.AppendFrameRaw(p.getBuf(), h.enclave.Identity(), tok, code, flags, payload)
+	h.enqueueFrame(p, msg, frame, err)
+}
+
+// sendTokenless frames and enqueues a message that travels without a
+// session token (Attest, gossip): none of sendLocked's scratch is
+// touched, so the wide lock in read mode is enough.
+func (h *Host) sendTokenless(to cryptoutil.PublicKey, msg wire.Message) {
+	p := h.peersByID[to]
+	if p == nil {
+		h.drops.Add(1)
+		h.logf("%s: no peer for identity %s, dropping %T", h.cfg.Name, to, msg)
+		return
+	}
+	frame, err := wire.AppendFrame(p.getBuf(), h.enclave.Identity(), nil, msg)
+	h.enqueueFrame(p, msg, frame, err)
+}
+
+// enqueueFrame puts an encoded frame of msg on p's queue, counting (and
+// logging) an encoding failure or a full queue as a drop.
+func (h *Host) enqueueFrame(p *peer, msg wire.Message, frame []byte, err error) {
+	if err != nil {
+		h.drops.Add(1)
+		h.logf("%s: encoding %T: %v", h.cfg.Name, msg, err)
+		return
 	}
 	if p.enqueue(frame) {
 		p.framesOut.Add(1)

@@ -5,8 +5,11 @@ package transport
 // host-level and tokenless, like Hello — routing is advisory
 // untrusted-host machinery, and a stale or hostile graph can only make
 // a payment abort cleanly (the enclave re-verifies balances, fees, and
-// τ at every hop). All gossip handling runs under the wide lock on the
-// cold frame path; the payment lanes never touch it.
+// τ at every hop). The route manager and its graph lock themselves, so
+// gossip receive, anti-entropy answers and the gossip flusher hold the
+// wide lock only in read mode, beside the payment lanes; only the own
+// announcements that cold operations make (reannounceLocked) are queued
+// under it exclusively.
 
 import (
 	"errors"
@@ -179,40 +182,122 @@ func timeoutOr(lastErr error, h *Host, amount chain.Amount) error {
 	return fmt.Errorf("%w: %s: routed payment of %d", ErrTimeout, h.cfg.Name, amount)
 }
 
-// --- Gossip plumbing (wide lock held throughout) ---
+// --- Gossip plumbing ---
 
-// handleGossipLocked folds a received announcement into the graph and
-// floods it onward when fresh; stale duplicates die here (the
-// flood-storm guard).
-func (h *Host) handleGossipLocked(from cryptoutil.PublicKey, ann *wire.ChanAnnounce) {
-	if !h.routes.Handle(from, ann) {
-		return
-	}
-	h.noteRouteUpdateLocked(ann.Channel)
-	h.flushGossipLocked()
+// gossipFlushPeriod is the least time between two gossip flushes. The
+// first announcement after a quiet spell goes out at once; whatever is
+// queued while the period runs goes out together when it ends, one
+// frame per peer — announcements batch per hop under load, as in
+// Lightning's staggered gossip broadcast (BOLT #7), and the graph lags
+// by at most one period per hop.
+const gossipFlushPeriod = 5 * time.Millisecond
+
+// gossipWait is how long the flusher holds a kick when it last flushed
+// at last: nothing when the period since has run out (or it never
+// flushed), else the rest of the period.
+func gossipWait(last, now time.Time) time.Duration {
+	return max(0, last.Add(gossipFlushPeriod).Sub(now))
 }
 
-// handleGossipSummaryLocked answers a peer's anti-entropy summary with
-// every announcement our graph holds at a fresher version.
-func (h *Host) handleGossipSummaryLocked(from cryptoutil.PublicKey, sum *wire.GossipSummary) {
-	anns := h.routes.HandleSummary(from, sum)
-	for i := range anns {
-		h.sendLocked(from, &anns[i])
+// kickGossip wakes the gossip flusher without blocking.
+func (h *Host) kickGossip() {
+	select {
+	case h.gossipKick <- struct{}{}:
+	default:
 	}
 }
 
-// flushGossipLocked drains every peer's pending-announcement queue onto
-// the wire. Queues only fill when Handle or Announce report a change,
-// and both callers drain right after, so there is nothing to look for
-// at any other time. Gossip only ever flows on the cold path, so
-// draining inline under the wide lock is fine.
-func (h *Host) flushGossipLocked() {
-	for _, id := range h.routes.PendingPeers() {
-		anns := h.routes.Drain(id, 0)
-		for i := range anns {
-			h.sendLocked(id, &anns[i])
+// gossipFlusher drains the peers' announcement queues, paced by
+// gossipWait, until the host closes.
+func (h *Host) gossipFlusher() {
+	defer h.wg.Done()
+	timer := time.NewTimer(gossipFlushPeriod)
+	timer.Stop()
+	var (
+		last  time.Time
+		peers []cryptoutil.PublicKey
+		msg   wire.ChanAnnounce
+	)
+	for {
+		select {
+		case <-h.gossipKick:
+		case <-h.quit:
+			return
+		}
+		if wait := gossipWait(last, time.Now()); wait > 0 {
+			timer.Reset(wait)
+			select {
+			case <-timer.C:
+			case <-h.quit:
+				return
+			}
+		}
+		if peers = h.flushGossip(peers[:0], &msg); len(peers) > 0 {
+			last = time.Now()
 		}
 	}
+}
+
+// flushGossip sends every peer its queued announcements, one frame per
+// peer (more only past wire.MaxChanAnnounce). peers and msg are the
+// flusher's scratch; it returns the peers it had work for.
+func (h *Host) flushGossip(peers []cryptoutil.PublicKey, msg *wire.ChanAnnounce) []cryptoutil.PublicKey {
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if h.closed {
+		return peers
+	}
+	peers = h.routes.PendingPeers(peers)
+	for _, id := range peers {
+		for {
+			msg.Edges = h.routes.Drain(id, msg.Edges[:0], wire.MaxChanAnnounce)
+			if len(msg.Edges) == 0 {
+				break
+			}
+			h.sendTokenless(id, msg)
+		}
+	}
+	return peers
+}
+
+// handleGossipFrame folds a peer's gossip into the graph: announcements
+// are applied, and the fresh ones queued onward for the flusher; a
+// summary is answered with everything fresher, in the same frames. The
+// wide lock is held in read mode only, so lanes on this host keep
+// running. It reports false for any frame that is not gossip.
+func (h *Host) handleGossipFrame(p *peer, f wire.Frame) bool {
+	switch f.Msg.(type) {
+	case *wire.ChanAnnounce, *wire.GossipSummary:
+	default:
+		return false
+	}
+	h.mu.RLock()
+	defer h.mu.RUnlock()
+	if h.closed {
+		return true
+	}
+	h.countFrameIn(p, f.From)
+	switch m := f.Msg.(type) {
+	case *wire.ChanAnnounce:
+		fresh := false
+		for i := range m.Edges {
+			if h.routes.Handle(f.From, &m.Edges[i]) {
+				h.noteRouteUpdate(m.Edges[i].Channel)
+				fresh = true
+			}
+		}
+		if fresh {
+			h.kickGossip()
+		}
+	case *wire.GossipSummary:
+		anns := h.routes.HandleSummary(f.From, m)
+		for len(anns) > 0 {
+			n := min(len(anns), wire.MaxChanAnnounce)
+			h.sendTokenless(f.From, &wire.ChanAnnounce{Edges: anns[:n]})
+			anns = anns[n:]
+		}
+	}
+	return true
 }
 
 // attachGossipPeerLocked wires a newly-helloed peer into the gossip
@@ -223,7 +308,7 @@ func (h *Host) attachGossipPeerLocked(id cryptoutil.PublicKey) {
 	h.routes.AttachPeer(id)
 	sums := h.routes.Summaries()
 	for i := range sums {
-		h.sendLocked(id, &sums[i])
+		h.sendTokenless(id, &sums[i])
 	}
 }
 
@@ -234,10 +319,11 @@ func (h *Host) attachGossipPeerLocked(id cryptoutil.PublicKey) {
 // (route.StandingHint) and swallows no-ops without a version bump, so
 // calling this after every cold operation is cheap and only real
 // changes flood: a multihop payment that leaves every balance within a
-// factor of two above its hint sends no gossip at all, and nothing is
-// drained when nothing was queued. Lane payments deliberately do not
-// reannounce — per-payment gossip would drown the network, and stale
-// capacity only costs a clean transient abort at pathfinding's expense.
+// factor of two above its hint sends no gossip at all, and the flusher
+// is only kicked when something was queued. Lane payments deliberately
+// do not reannounce — per-payment gossip would drown the network, and
+// stale capacity only costs a clean transient abort at pathfinding's
+// expense.
 func (h *Host) reannounceLocked() {
 	st := h.enclave.State()
 	if len(st.Channels) == 0 {
@@ -250,18 +336,18 @@ func (h *Host) reannounceLocked() {
 			continue
 		}
 		if _, fresh := h.routes.Announce(id, c.Remote, c.MyBal, fee, c.Closed); fresh {
-			h.noteRouteUpdateLocked(id)
+			h.noteRouteUpdate(id)
 			announced = true
 		}
 	}
 	if announced {
-		h.flushGossipLocked()
+		h.kickGossip()
 	}
 }
 
-// noteRouteUpdateLocked reports a graph change to control-plane
-// subscribers.
-func (h *Host) noteRouteUpdateLocked(ch wire.ChannelID) {
+// noteRouteUpdate reports a graph change to control-plane subscribers.
+// The graph locks itself, so any lock mode will do.
+func (h *Host) noteRouteUpdate(ch wire.ChannelID) {
 	if h.observers.Load() == nil {
 		return
 	}

@@ -2,6 +2,8 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -198,6 +200,10 @@ func TestRoutedRepathOnStaleCapacity(t *testing.T) {
 	c.awaitEdge("alice", "bob", "dave", 1000)
 	c.awaitEdge("alice", "alice", "carol", 1000)
 	c.awaitEdge("alice", "carol", "dave", 1000)
+	// awaitEdge waits for the four funded edges only; the premise check
+	// after the drain counts all eight, and the four empty reverse
+	// edges may still be in a gossip flush.
+	c.awaitGraph("alice", 8)
 
 	alice, bob, dave := c.hosts["alice"], c.hosts["bob"], c.hosts["dave"]
 
@@ -332,4 +338,124 @@ func TestRoutedPayNoRoute(t *testing.T) {
 	if _, err := alice.PayRouted(c.hosts["bob"].Identity(), 10_000, testTimeout); !errors.Is(err, route.ErrNoRoute) {
 		t.Fatalf("routing beyond capacity: %v, want ErrNoRoute", err)
 	}
+}
+
+// TestGossipWait pins the flusher's pacing rule: at once when the last
+// flush is a period or more ago (or there was none), else at the end of
+// that period.
+func TestGossipWait(t *testing.T) {
+	now := time.Now()
+	for _, c := range []struct {
+		last time.Time
+		want time.Duration
+	}{
+		{time.Time{}, 0},
+		{now.Add(-time.Hour), 0},
+		{now.Add(-gossipFlushPeriod), 0},
+		{now.Add(-gossipFlushPeriod / 5), gossipFlushPeriod * 4 / 5},
+		{now, gossipFlushPeriod},
+	} {
+		if got := gossipWait(c.last, now); got != c.want {
+			t.Fatalf("gossipWait(now%+v) = %v, want %v", c.last.Sub(now), got, c.want)
+		}
+	}
+}
+
+// TestGossipFlusher: announcements queued together reach each peer as
+// one frame, a lone announcement after a quiet spell leaves without
+// waiting out a period, and a kick with nothing queued sends nothing.
+// The hub announces edges of channels it does not have — the gossip
+// plane does not care — to two peers that have no other peer to pass
+// them on to.
+func TestGossipFlusher(t *testing.T) {
+	c := newRoutedCluster(t, map[string]Config{"hub": {}, "bob": {}, "carol": {}})
+	hub, bob, carol := c.hosts["hub"], c.hosts["bob"], c.hosts["carol"]
+	for _, h := range []*Host{bob, carol} {
+		if err := hub.DialPeer(h.ListenAddr()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := hub.AwaitPeer(h.Name(), testTimeout); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := h.AwaitPeer("hub", testTimeout); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// quiet waits until the hub has sent nothing for four periods and
+	// returns its frame count.
+	quiet := func() uint64 {
+		t.Helper()
+		n := hub.Stats().FramesOut
+		for still := 0; still < 4; {
+			time.Sleep(gossipFlushPeriod)
+			if m := hub.Stats().FramesOut; m != n {
+				n, still = m, 0
+			} else {
+				still++
+			}
+		}
+		return n
+	}
+	announced := 0
+	announce := func() {
+		ch := wire.ChannelID(fmt.Sprintf("ch-%03d", announced))
+		if _, fresh := hub.routes.Announce(ch, bob.Identity(), 100, route.FeePolicy{}, false); !fresh {
+			t.Fatalf("announcement of %s not fresh", ch)
+		}
+		announced++
+	}
+	// seen waits until both peers hold every announcement so far.
+	seen := func() {
+		t.Helper()
+		deadline := time.Now().Add(testTimeout)
+		for bob.RouteGraph().Open() != announced || carol.RouteGraph().Open() != announced {
+			if time.Now().After(deadline) {
+				t.Fatalf("peers hold %d and %d of %d announced edges", bob.RouteGraph().Open(), carol.RouteGraph().Open(), announced)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Nothing pending: a kick sends nothing.
+	before := quiet()
+	hub.kickGossip()
+	if got := quiet(); got != before {
+		t.Fatalf("a kick with nothing queued sent %d frames", got-before)
+	}
+
+	// Sixteen announcements queued at once: one frame to each peer.
+	for range 16 {
+		announce()
+	}
+	hub.kickGossip()
+	seen()
+	if got := quiet() - before; got != 2 {
+		t.Fatalf("16 queued announcements went out in %d frames to 2 peers, want 2", got)
+	}
+
+	// A lone announcement after a quiet spell is on both peer queues
+	// well inside a period. A stalled machine can miss that by chance,
+	// so it gets five tries; a flusher that always waits misses it on
+	// every one.
+	var took []time.Duration
+	for try := 0; try < 5; try++ {
+		before := quiet()
+		announce()
+		start := time.Now()
+		hub.kickGossip()
+		for hub.Stats().FramesOut < before+2 {
+			if time.Since(start) > testTimeout {
+				t.Fatal("a lone announcement never left")
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+		took = append(took, time.Since(start))
+		if took[try] < gossipFlushPeriod {
+			break
+		}
+	}
+	if slices.Min(took) >= gossipFlushPeriod {
+		t.Fatalf("a lone announcement after a quiet spell waited %v, want it out at once", took)
+	}
+	seen()
 }

@@ -50,8 +50,10 @@ import (
 // the flags byte and the binary payload encoding for payment messages;
 // version 3 moved the multi-hop messages (Mh*) from gob to binary
 // payloads, so a version-2 peer fails at its first frame instead of
-// having every multi-hop frame dropped as malformed.
-const FrameVersion = 3
+// having every multi-hop frame dropped as malformed; version 4 made
+// ChanAnnounce a list of edge announcements (one gossip frame per peer
+// per flush), which a version-3 peer would misparse.
+const FrameVersion = 4
 
 // FlagBinaryPayload marks a payload encoded via BinaryMessage rather
 // than gob.

@@ -16,7 +16,7 @@ import (
 // topology change, and gob's per-frame type descriptors would dominate
 // the payload.
 
-// ChanAnnounce advertises one DIRECTED edge of the payment-channel
+// EdgeAnnounce advertises one DIRECTED edge of the payment-channel
 // graph: the announcing endpoint From can currently forward up to
 // Capacity over Channel to To, and charges FeeBase plus
 // amount*FeeRatePPM/1_000_000 for each payment it forwards as an
@@ -24,7 +24,7 @@ import (
 // monotonic for the announcement's lifetime: receivers keep the
 // highest Version per directed edge and drop (without re-flooding)
 // anything at or below it. Closed retracts the edge.
-type ChanAnnounce struct {
+type EdgeAnnounce struct {
 	Channel    ChannelID
 	From       cryptoutil.PublicKey // announcing endpoint (edge tail)
 	To         cryptoutil.PublicKey // counterparty (edge head)
@@ -35,49 +35,101 @@ type ChanAnnounce struct {
 	Closed     bool
 }
 
+// edgeAnnounceFixed is an EdgeAnnounce's encoding less its channel id:
+// both keys, capacity, fee base, fee rate, version and the closed flag.
+const edgeAnnounceFixed = 2*keySize + 29
+
+// MaxChanAnnounce bounds the edges one ChanAnnounce may carry: at most
+// 415 bytes each (a 255-byte channel id), a maximal frame stays inside
+// MaxFrameSize. Longer queues go out in several frames.
+const MaxChanAnnounce = 2048
+
+// ChanAnnounce is the gossip frame: every edge announcement a host has
+// queued for one peer since its last flush, oldest first. One frame per
+// peer per flush, not one per announcement, is what keeps the routing
+// plane's frame count below the payments' own under load.
+type ChanAnnounce struct {
+	Edges []EdgeAnnounce
+}
+
 // WireSize implements Message.
-func (m *ChanAnnounce) WireSize() int { return hdrSize + idOverhead + 2*keySize + 29 }
+func (m *ChanAnnounce) WireSize() int {
+	return hdrSize + 4 + len(m.Edges)*(idOverhead+edgeAnnounceFixed)
+}
 
 // AppendPayload implements BinaryMessage.
 func (m *ChanAnnounce) AppendPayload(dst []byte) ([]byte, error) {
-	dst, err := appendChannelID(dst, m.Channel)
-	if err != nil {
-		return dst, err
+	if len(m.Edges) > MaxChanAnnounce {
+		return dst, fmt.Errorf("wire: announcement of %d edges exceeds %d", len(m.Edges), MaxChanAnnounce)
 	}
-	dst = append(dst, m.From[:]...)
-	dst = append(dst, m.To[:]...)
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Capacity))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.FeeBase))
-	dst = binary.BigEndian.AppendUint32(dst, m.FeeRatePPM)
-	dst = binary.BigEndian.AppendUint64(dst, m.Version)
-	var closed byte
-	if m.Closed {
-		closed = 1
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Edges)))
+	var err error
+	for i := range m.Edges {
+		e := &m.Edges[i]
+		if dst, err = appendChannelID(dst, e.Channel); err != nil {
+			return dst, err
+		}
+		dst = append(dst, e.From[:]...)
+		dst = append(dst, e.To[:]...)
+		dst = binary.BigEndian.AppendUint64(dst, uint64(e.Capacity))
+		dst = binary.BigEndian.AppendUint64(dst, uint64(e.FeeBase))
+		dst = binary.BigEndian.AppendUint32(dst, e.FeeRatePPM)
+		dst = binary.BigEndian.AppendUint64(dst, e.Version)
+		var closed byte
+		if e.Closed {
+			closed = 1
+		}
+		dst = append(dst, closed)
 	}
-	return append(dst, closed), nil
+	return dst, nil
 }
 
-// DecodePayload implements BinaryMessage.
+// DecodePayload implements BinaryMessage. The edge count is checked
+// against the bytes that remain before the edge slice grows for it.
 func (m *ChanAnnounce) DecodePayload(src []byte) error {
-	ch, rest, err := readChannelID(src, m.Channel)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 2*keySize+29 {
+	if len(src) < 4 {
 		return ErrFrameTruncated
 	}
-	if b := rest[2*keySize+28]; b > 1 {
-		return fmt.Errorf("%w: bad closed flag %d", ErrFramePayload, b)
+	n := int(binary.BigEndian.Uint32(src[:4]))
+	if n > MaxChanAnnounce {
+		return fmt.Errorf("%w: announcement of %d edges exceeds %d", ErrFramePayload, n, MaxChanAnnounce)
 	}
-	m.Channel = ch
-	copy(m.From[:], rest[:keySize])
-	copy(m.To[:], rest[keySize:2*keySize])
-	rest = rest[2*keySize:]
-	m.Capacity = chain.Amount(binary.BigEndian.Uint64(rest[:8]))
-	m.FeeBase = chain.Amount(binary.BigEndian.Uint64(rest[8:16]))
-	m.FeeRatePPM = binary.BigEndian.Uint32(rest[16:20])
-	m.Version = binary.BigEndian.Uint64(rest[20:28])
-	m.Closed = rest[28] == 1
+	rest := src[4:]
+	if len(rest) < n*(1+edgeAnnounceFixed) {
+		return ErrFrameTruncated
+	}
+	old := m.Edges
+	m.Edges = m.Edges[:0]
+	for i := 0; i < n; i++ {
+		var prev ChannelID
+		if i < len(old) {
+			prev = old[i].Channel
+		}
+		ch, r, err := readChannelID(rest, prev)
+		if err != nil {
+			return err
+		}
+		if len(r) < edgeAnnounceFixed {
+			return ErrFrameTruncated
+		}
+		if b := r[edgeAnnounceFixed-1]; b > 1 {
+			return fmt.Errorf("%w: bad closed flag %d", ErrFramePayload, b)
+		}
+		e := EdgeAnnounce{Channel: ch}
+		copy(e.From[:], r[:keySize])
+		copy(e.To[:], r[keySize:2*keySize])
+		r = r[2*keySize:]
+		e.Capacity = chain.Amount(binary.BigEndian.Uint64(r[:8]))
+		e.FeeBase = chain.Amount(binary.BigEndian.Uint64(r[8:16]))
+		e.FeeRatePPM = binary.BigEndian.Uint32(r[16:20])
+		e.Version = binary.BigEndian.Uint64(r[20:28])
+		e.Closed = r[28] == 1
+		m.Edges = append(m.Edges, e)
+		rest = r[29:]
+	}
+	if len(rest) != 0 {
+		return ErrFrameTruncated
+	}
 	return nil
 }
 
@@ -96,9 +148,9 @@ type GossipDigest struct {
 
 // GossipSummary is the anti-entropy half of the gossip protocol: sent
 // whenever a peer connection (re-)establishes, it digests every
-// directed edge the sender's graph holds. The receiver answers with a
-// ChanAnnounce for each edge it knows at a strictly higher version —
-// and for each edge absent from the summary entirely — so two graphs
+// directed edge the sender's graph holds. The receiver answers with
+// ChanAnnounce frames carrying each edge it knows at a strictly higher
+// version — and each edge absent from the summary entirely — so two graphs
 // converge after any partition without replaying the flood history.
 type GossipSummary struct {
 	Entries []GossipDigest

@@ -220,7 +220,8 @@ func TestMhCodecDecodeDoesNotAlias(t *testing.T) {
 }
 
 // FuzzDecodeFrame feeds arbitrary frame bodies, seeded with one valid
-// frame of every registered message type, to the decoder behind every
+// frame of every registered message type (and a multi-edge gossip
+// frame, as a busy host flushes them), to the decoder behind every
 // socket: it must return a message or an error, never panic, and a
 // binary message it accepts must re-encode to a payload that decodes
 // to the same message.
@@ -234,7 +235,11 @@ func FuzzDecodeFrame(f *testing.F) {
 		}
 		f.Add(frame[4:])
 	}
+	seeds := []Message{&ChanAnnounce{Edges: sampleEdges(4)}}
 	for _, m := range mhSamples() {
+		seeds = append(seeds, m)
+	}
+	for _, m := range seeds {
 		frame, err := AppendFrame(nil, testIdentity(), nil, m)
 		if err != nil {
 			f.Fatal(err)
