@@ -118,7 +118,6 @@ func TestMultihopCodecAllocationBudget(t *testing.T) {
 		&wire.MhPostUpdate{Payment: lock.Payment},
 		&wire.MhRelease{Payment: lock.Payment},
 		&wire.MhAbort{Payment: lock.Payment, Reason: "upstream channel locked", Transient: true},
-		&wire.MhAck{Payment: lock.Payment, OK: true},
 	}
 	buf := make([]byte, 0, 4096)
 	for _, m := range msgs {

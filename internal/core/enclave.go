@@ -1017,8 +1017,6 @@ func (e *Enclave) handleSessionMessage(from cryptoutil.PublicKey, msg wire.Messa
 		return e.handleMhRelease(from, m)
 	case *wire.MhAbort:
 		return e.handleMhAbort(from, m)
-	case *wire.MhAck:
-		return e.handleMhAck(from, m)
 	case *wire.ReplAttach:
 		return e.handleReplAttach(from, m)
 	case *wire.ReplAttachAck:

@@ -100,11 +100,11 @@ func mhInOut(amount chain.Amount, fees []chain.Amount, idx int) (in, out chain.A
 }
 
 // channelTo selects an open, idle channel to peer with at least amount
-// of our balance, preferring permanent channels over temporary ones
-// only when both qualify (temporary channels exist to absorb load,
-// §5.2, so they are picked first when usable).
+// of our balance. Temporary channels are picked first when usable
+// (they exist to absorb load, §5.2), then the lowest channel ID, so the
+// choice never depends on map order.
 func (e *Enclave) channelTo(peer cryptoutil.PublicKey, amount chain.Amount) (*ChannelState, error) {
-	var fallback *ChannelState
+	var best *ChannelState
 	for _, c := range e.state.Channels {
 		if c.Remote != peer || !c.Open || c.Closed || c.Stage != MhIdle || c.ClosePending {
 			continue
@@ -112,17 +112,14 @@ func (e *Enclave) channelTo(peer cryptoutil.PublicKey, amount chain.Amount) (*Ch
 		if c.MyBal < amount {
 			continue
 		}
-		if c.Temp {
-			return c, nil
-		}
-		if fallback == nil {
-			fallback = c
+		if best == nil || (c.Temp && !best.Temp) || (c.Temp == best.Temp && c.ID < best.ID) {
+			best = c
 		}
 	}
-	if fallback != nil {
-		return fallback, nil
+	if best == nil {
+		return nil, fmt.Errorf("%w: no usable channel to %s with balance %d", ErrChannelLocked, peer, amount)
 	}
-	return nil, fmt.Errorf("%w: no usable channel to %s with balance %d", ErrChannelLocked, peer, amount)
+	return best, nil
 }
 
 // addChannelToTau extends τ with a channel's deposits as inputs and its
@@ -707,8 +704,4 @@ func (e *Enclave) handleMhAbort(from cryptoutil.PublicKey, m *wire.MhAbort) (*Re
 		return nil, err
 	}
 	return res.merge(r), nil
-}
-
-func (e *Enclave) handleMhAck(from cryptoutil.PublicKey, m *wire.MhAck) (*Result, error) {
-	return &Result{Events: []Event{EvMultihopComplete{Payment: m.Payment, OK: m.OK, Reason: m.Reason}}}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"teechain/internal/cryptoutil"
-	"teechain/internal/netsim"
 	"teechain/internal/wire"
 )
 
@@ -202,45 +201,3 @@ func TestMergeTempChannelOffChain(t *testing.T) {
 		t.Fatal("temp channel merge touched the blockchain")
 	}
 }
-
-func TestRouterPaths(t *testing.T) {
-	r := NewRouter()
-	mk := func(s string) cryptoutil.PublicKey {
-		var k cryptoutil.PublicKey
-		copy(k[:], s)
-		return k
-	}
-	a, b, c, d, e := mk("a"), mk("b"), mk("c"), mk("d"), mk("e")
-	// a-b-c and a-d-e-c
-	r.AddChannel(a, b)
-	r.AddChannel(b, c)
-	r.AddChannel(a, d)
-	r.AddChannel(d, e)
-	r.AddChannel(e, c)
-
-	sp := r.ShortestPath(a, c)
-	if len(sp) != 3 || sp[0] != a || sp[1] != b || sp[2] != c {
-		t.Fatalf("shortest path wrong: %v", len(sp))
-	}
-	paths := r.Paths(a, c, 4, 2)
-	if len(paths) != 2 {
-		t.Fatalf("got %d paths, want 2", len(paths))
-	}
-	if len(paths[0]) > len(paths[1]) {
-		t.Fatal("paths not ordered by length")
-	}
-	if r.ShortestPath(a, mk("zz")) != nil {
-		t.Fatal("path to unknown node")
-	}
-	// Removal disconnects.
-	r.RemoveChannel(b, c)
-	sp = r.ShortestPath(a, c)
-	if len(sp) != 4 {
-		t.Fatalf("after removal path length %d, want 4", len(sp))
-	}
-	if p := r.ShortestPath(a, a); len(p) != 1 {
-		t.Fatal("self path wrong")
-	}
-}
-
-var _ = netsim.NodeID("") // keep import when tests shrink

@@ -128,3 +128,32 @@ func TestReplicatedDeploymentDigest(t *testing.T) {
 			"(the simulator's immediate-mode replication behavior changed)", got, replicatedDeploymentDigest)
 	}
 }
+
+// TestHubSpokeDeterminism pins fault-free replay for Table 3 and
+// Fig. 7: the hub-and-spoke runs must not depend on map order (which
+// channel a multihop hop takes, the order temporary channels are
+// created in), so two runs of each are bit-identical.
+func TestHubSpokeDeterminism(t *testing.T) {
+	first, err := RunFigure7([]int{0, 1}, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := RunFigure7([]int{0, 1}, 25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Fatalf("Figure 7 replay diverged:\nfirst:  %+v\nsecond: %+v", first, again)
+	}
+	rows, err := RunTable3(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowsAgain, err := RunTable3(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rows, rowsAgain) {
+		t.Fatalf("Table 3 replay diverged:\nfirst:  %+v\nsecond: %+v", rows, rowsAgain)
+	}
+}

@@ -137,15 +137,21 @@ func TestDurableKillRestartRecovers(t *testing.T) {
 	opsOut := st.Committee.OpsOut
 
 	// Payments flow again, replicated down that committee and logged
-	// to the WAL.
+	// to the WAL. Pay returns once they are issued; the replication
+	// flusher ships them after that, so the count is awaited.
 	if err := owner.Pay(chID, 5, 100); err != nil {
 		t.Fatal(err)
 	}
-	if st, err = owner.Stats(); err != nil {
-		t.Fatal(err)
-	}
-	if st.Committee.OpsOut < opsOut+100 {
-		t.Fatalf("committee OpsOut %d -> %d over 100 post-recovery payments", opsOut, st.Committee.OpsOut)
+	for deadline := time.Now().Add(ClusterTimeout); ; time.Sleep(time.Millisecond) {
+		if st, err = owner.Stats(); err != nil {
+			t.Fatal(err)
+		}
+		if st.Committee.OpsOut >= opsOut+100 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("committee OpsOut %d -> %d over 100 post-recovery payments", opsOut, st.Committee.OpsOut)
+		}
 	}
 	ws, err = owner.WalStats()
 	if err != nil {

@@ -5,6 +5,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"teechain/internal/core"
 	"teechain/internal/cryptoutil"
 	"teechain/internal/netsim"
+	"teechain/internal/route"
 	"teechain/internal/sim"
 	"teechain/internal/tee"
 	"teechain/internal/wire"
@@ -61,13 +63,16 @@ func lookupLink(a, b Site) siteLink {
 
 // Deployment is a running Teechain installation under simulation.
 type Deployment struct {
-	Sim    *sim.Simulator
-	Net    *netsim.Network
-	Chain  *chain.Chain
-	Dir    *core.Directory
-	Auth   *tee.Authority
-	Router *core.Router
+	Sim   *sim.Simulator
+	Net   *netsim.Network
+	Chain *chain.Chain
+	Dir   *core.Directory
+	Auth  *tee.Authority
 
+	// graph holds every opened channel, one fee-free edge of unbounded
+	// capacity per direction: whether a payment fits is the enclaves'
+	// call, so paths are never pruned on capacity.
+	graph *route.Graph
 	nodes map[string]*core.Node
 	sites map[string]Site
 	order []string
@@ -81,14 +86,14 @@ func NewDeployment() (*Deployment, error) {
 		return nil, err
 	}
 	return &Deployment{
-		Sim:    s,
-		Net:    netsim.New(s),
-		Chain:  chain.New(),
-		Dir:    core.NewDirectory(),
-		Auth:   auth,
-		Router: core.NewRouter(),
-		nodes:  make(map[string]*core.Node),
-		sites:  make(map[string]Site),
+		Sim:   s,
+		Net:   netsim.New(s),
+		Chain: chain.New(),
+		Dir:   core.NewDirectory(),
+		Auth:  auth,
+		graph: route.NewGraph(),
+		nodes: make(map[string]*core.Node),
+		sites: make(map[string]Site),
 	}, nil
 }
 
@@ -196,7 +201,7 @@ func (d *Deployment) FormCommittee(owner *core.Node, members []*core.Node, m int
 
 // OpenChannel opens and funds a channel between two connected nodes:
 // fundA from a's side and fundB from b's (zero skips that side). The
-// channel is registered with the router.
+// channel joins the graph Paths searches.
 func (d *Deployment) OpenChannel(a, b *core.Node, fundA, fundB chain.Amount) (wire.ChannelID, error) {
 	if err := d.Connect(a, b); err != nil {
 		return "", err
@@ -222,8 +227,40 @@ func (d *Deployment) OpenChannel(a, b *core.Node, fundA, fundB chain.Amount) (wi
 			return "", err
 		}
 	}
-	d.Router.AddChannel(a.Identity(), b.Identity())
+	d.addEdges(id, a.Identity(), b.Identity())
 	return id, nil
+}
+
+// addEdges puts channel id between a and b into the graph, one edge per
+// direction.
+func (d *Deployment) addEdges(id wire.ChannelID, a, b cryptoutil.PublicKey) {
+	for _, e := range [][2]cryptoutil.PublicKey{{a, b}, {b, a}} {
+		d.graph.Apply(&wire.EdgeAnnounce{Channel: id, From: e[0], To: e[1], Capacity: math.MaxInt64, Version: 1})
+	}
+}
+
+// Paths returns up to k identity paths from src to dst over opened
+// channels, fewest hops first (ties in key order), keeping only paths
+// at most extra hops longer than the shortest (dynamic routing, §7.4).
+func (d *Deployment) Paths(src, dst cryptoutil.PublicKey, k, extra int) [][]cryptoutil.PublicKey {
+	if k < 1 {
+		return nil
+	}
+	if src == dst {
+		return [][]cryptoutil.PublicKey{{src}}
+	}
+	routes, err := d.graph.FindRoutes(src, dst, 1, k, route.DefaultHopCost)
+	if err != nil {
+		return nil
+	}
+	var paths [][]cryptoutil.PublicKey
+	for _, r := range routes {
+		if len(r.Hops) > len(routes[0].Hops)+extra {
+			break
+		}
+		paths = append(paths, r.Hops)
+	}
+	return paths
 }
 
 func (d *Deployment) fundSide(owner, peer *core.Node, id wire.ChannelID, value chain.Amount) error {

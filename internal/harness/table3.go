@@ -1,7 +1,10 @@
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"teechain/internal/chain"
@@ -119,7 +122,10 @@ func buildHubSpoke(committee int, tempChannels int) (*hubSpoke, error) {
 	// Temporary channels on tier-1/tier-2 edges (Fig. 7; tier-3 users
 	// are unlikely to post extra deposits, §7.4).
 	if tempChannels > 0 {
-		for pair := range hs.channels {
+		pairs := slices.SortedFunc(maps.Keys(hs.channels), func(a, b [2]int) int {
+			return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+		})
+		for _, pair := range pairs {
 			if pair[1] >= hsTier1+hsTier2 {
 				continue
 			}
@@ -287,7 +293,7 @@ func runHubSpoke(committee int, dynamic bool, tempChannels, paymentsPerMachine i
 			if id, ok := directChannel(src, dst); ok {
 				hs.nodes[src].PayRetry(id, amount, record(1))
 			} else {
-				paths := d.Router.Paths(hs.nodes[src].Identity(), hs.nodes[dst].Identity(), pathCount, extra)
+				paths := d.Paths(hs.nodes[src].Identity(), hs.nodes[dst].Identity(), pathCount, extra)
 				if len(paths) == 0 {
 					acked++
 					pump(1)

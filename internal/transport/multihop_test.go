@@ -133,8 +133,9 @@ func (c *routedCluster) framesOut() (n uint64) {
 
 // awaitHints waits until gossip has caught up with the enclaves: for
 // every open channel side, the owner's announced hint is right for the
-// side's balance (route.StandingHint keeps it), and every other graph
-// holds the owner's announcement.
+// side's balance (route.StandingHint keeps it), every other graph
+// holds the owner's announcement, and no host still has a forward of
+// it queued (which would land in the next frame count).
 func (c *routedCluster) awaitHints() {
 	c.t.Helper()
 	deadline := time.Now().Add(testTimeout)
@@ -157,6 +158,9 @@ func (c *routedCluster) awaitHints() {
 			})
 		}
 		if behind == "" {
+			for _, h := range c.hosts {
+				awaitGossipDrained(c.t, h)
+			}
 			return
 		}
 		if time.Now().After(deadline) {

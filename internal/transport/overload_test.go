@@ -186,6 +186,9 @@ func TestOverloadRejectNeverDebits(t *testing.T) {
 // whose frame is then dropped for want of a peer.
 func TestPayToUnknownPeerNeverDebits(t *testing.T) {
 	alice, bob, chID := setupBudgetPair(t, 4, 8)
+	// Funding queued announcements for bob; a flush after the record
+	// is gone would count a drop inside the window checked below.
+	awaitGossipDrained(t, alice)
 	alice.mu.Lock()
 	delete(alice.peersByID, bob.Identity())
 	alice.mu.Unlock()

@@ -67,6 +67,30 @@ func (c *routedCluster) channel(src, dst string, value chain.Amount) {
 	}
 }
 
+// awaitGossipDrained polls until h has no announcement queued for any
+// peer while no flush is in flight: a flush holds the wide lock (read
+// mode) from draining the queues until its frames are counted, so with
+// the lock held for writing and the queues empty, every gossip frame
+// queued so far has been sent and counted. Tests that compare FramesOut
+// or Drops across an interval they take to be quiet wait here first;
+// the interval is quiet only if nothing queues new gossip during it.
+func awaitGossipDrained(t *testing.T, h *Host) {
+	t.Helper()
+	deadline := time.Now().Add(testTimeout)
+	for {
+		h.mu.Lock()
+		drained := len(h.routes.PendingPeers(nil)) == 0
+		h.mu.Unlock()
+		if drained {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: gossip queues never drained", h.Name())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // awaitGraph polls until the host's graph holds at least edges open
 // edges — the gossip convergence barrier.
 func (c *routedCluster) awaitGraph(name string, edges int) {
@@ -381,13 +405,14 @@ func TestGossipFlusher(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// quiet waits until the hub has sent nothing for four periods and
-	// returns its frame count.
+	// quiet waits until the hub has drained its gossip queues and sent
+	// nothing for four periods, and returns its frame count.
 	quiet := func() uint64 {
 		t.Helper()
 		n := hub.Stats().FramesOut
 		for still := 0; still < 4; {
 			time.Sleep(gossipFlushPeriod)
+			awaitGossipDrained(t, hub)
 			if m := hub.Stats().FramesOut; m != n {
 				n, still = m, 0
 			} else {

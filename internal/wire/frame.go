@@ -105,14 +105,17 @@ type BinaryMessage interface {
 
 // registry lists every message type in fixed order; a message's code is
 // its index + 1 (code 0 is reserved/invalid). Append only — reordering
-// changes codes on the wire.
+// changes codes on the wire. A nil entry keeps the code of a deleted
+// message reserved: frames carrying it are rejected as unknown.
 var registry = []Message{
 	&Hello{},
 	&Attest{}, &ChannelOpen{}, &ChannelAck{}, &ApproveDeposit{},
 	&ApprovedDeposit{}, &AssociateDeposit{}, &DissociateDeposit{},
 	&DissociateAck{}, &Pay{}, &PayAck{}, &PayNack{}, &SettleRequest{},
 	&SettleNotify{}, &MhLock{}, &MhSign{}, &MhPreUpdate{},
-	&MhUpdate{}, &MhPostUpdate{}, &MhRelease{}, &MhAck{}, &MhAbort{},
+	&MhUpdate{}, &MhPostUpdate{}, &MhRelease{},
+	nil, // 21: MhAck, which nothing sent
+	&MhAbort{},
 	&ReplAttach{}, &ReplAttachAck{}, &ReplUpdate{}, &ReplAck{}, &ReplFreeze{},
 	&SigRequest{}, &SigResponse{}, &OutsourceCmd{}, &OutsourceResult{},
 	&PayBatch{}, &PayBatchAck{}, &ReplBatch{}, &ReplBatchAck{},
@@ -129,6 +132,9 @@ var (
 
 func init() {
 	for i, m := range registry {
+		if m == nil {
+			continue
+		}
 		t := reflect.TypeOf(m).Elem()
 		codeByType[t] = byte(i + 1)
 		typeByCode[i+1] = t
@@ -172,7 +178,7 @@ func MsgCode(m Message) (byte, error) {
 
 // NewByCode returns a fresh zero message of the registered type.
 func NewByCode(code byte) (Message, error) {
-	if int(code) >= len(typeByCode) || code == 0 {
+	if int(code) >= len(typeByCode) || typeByCode[code] == nil {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, code)
 	}
 	return reflect.New(typeByCode[code]).Interface().(Message), nil
@@ -324,7 +330,7 @@ func decodeFrameInto(f *Frame, body, tokenBuf []byte, reuse []Message) error {
 		return fmt.Errorf("%w: got %d, want %d", ErrFrameVersion, body[0], FrameVersion)
 	}
 	code := body[1]
-	if int(code) >= len(typeByCode) || code == 0 {
+	if int(code) >= len(typeByCode) || typeByCode[code] == nil {
 		return fmt.Errorf("%w: %d", ErrUnknownType, code)
 	}
 	flags := body[2]

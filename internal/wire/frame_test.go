@@ -66,6 +66,9 @@ func TestFrameRoundTripAllTypes(t *testing.T) {
 	from := testIdentity()
 	token := []byte("freshness-token")
 	for _, proto := range registry {
+		if proto == nil {
+			continue
+		}
 		msg, err := NewByCode(mustCode(t, proto))
 		if err != nil {
 			t.Fatal(err)
@@ -199,7 +202,8 @@ func TestFrameRejectsUnknownType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, code := range []byte{0, byte(len(registry) + 1), 0xff} {
+	// 21 is the reserved slot of the deleted MhAck.
+	for _, code := range []byte{0, 21, byte(len(registry) + 1), 0xff} {
 		body := append([]byte(nil), frame[4:]...)
 		body[1] = code
 		if _, err := DecodeFrame(body); !errors.Is(err, ErrUnknownType) {

@@ -29,7 +29,6 @@ import (
 //	MhPostUpdate  payment str16
 //	MhRelease     payment str16
 //	MhAbort       payment str16 · transient u8 (0|1) · reason str16
-//	MhAck         payment str16 · ok u8 (0|1) · reason str16
 //
 //	tx            present u8 (0 = nil, then nothing follows) ·
 //	              lockHeight u64 ·
@@ -393,60 +392,32 @@ func (m *MhRelease) DecodePayload(src []byte) error {
 	return err
 }
 
-// appendOutcome and readOutcome are the shared layout of the two
-// messages reporting a payment's fate (MhAbort, MhAck): the payment, one
-// flag, and a reason.
-func appendOutcome(dst []byte, pid PaymentID, flag bool, reason string) ([]byte, error) {
-	dst, err := appendStr16(dst, string(pid))
+// AppendPayload implements BinaryMessage.
+func (m *MhAbort) AppendPayload(dst []byte) ([]byte, error) {
+	dst, err := appendStr16(dst, string(m.Payment))
 	if err != nil {
 		return dst, err
 	}
-	return appendStr16(appendBool(dst, flag), reason)
-}
-
-func readOutcome(src []byte) (PaymentID, bool, string, error) {
-	pid, src, err := readStr16(src)
-	if err != nil {
-		return "", false, "", err
-	}
-	flag, src, err := readBool(src)
-	if err != nil {
-		return "", false, "", err
-	}
-	reason, src, err := readStr16(src)
-	if err != nil {
-		return "", false, "", err
-	}
-	if len(src) != 0 {
-		return "", false, "", ErrFrameTruncated
-	}
-	return PaymentID(pid), flag, reason, nil
-}
-
-// AppendPayload implements BinaryMessage.
-func (m *MhAbort) AppendPayload(dst []byte) ([]byte, error) {
-	return appendOutcome(dst, m.Payment, m.Transient, m.Reason)
+	return appendStr16(appendBool(dst, m.Transient), m.Reason)
 }
 
 // DecodePayload implements BinaryMessage.
 func (m *MhAbort) DecodePayload(src []byte) error {
-	pid, transient, reason, err := readOutcome(src)
-	if err == nil {
-		m.Payment, m.Transient, m.Reason = pid, transient, reason
+	pid, src, err := readStr16(src)
+	if err != nil {
+		return err
 	}
-	return err
-}
-
-// AppendPayload implements BinaryMessage.
-func (m *MhAck) AppendPayload(dst []byte) ([]byte, error) {
-	return appendOutcome(dst, m.Payment, m.OK, m.Reason)
-}
-
-// DecodePayload implements BinaryMessage.
-func (m *MhAck) DecodePayload(src []byte) error {
-	pid, ok, reason, err := readOutcome(src)
-	if err == nil {
-		m.Payment, m.OK, m.Reason = pid, ok, reason
+	transient, src, err := readBool(src)
+	if err != nil {
+		return err
 	}
-	return err
+	reason, src, err := readStr16(src)
+	if err != nil {
+		return err
+	}
+	if len(src) != 0 {
+		return ErrFrameTruncated
+	}
+	m.Payment, m.Transient, m.Reason = PaymentID(pid), transient, reason
+	return nil
 }

@@ -77,8 +77,6 @@ func mhSamples() map[string]BinaryMessage {
 		"abort/transient": &MhAbort{Payment: "mh-a-1", Reason: "upstream channel locked", Transient: true},
 		"abort/hard":      &MhAbort{Payment: "mh-a-1", Reason: "unknown upstream channel"},
 		"abort/no-reason": &MhAbort{Payment: "mh-a-1"},
-		"ack/ok":          &MhAck{Payment: "mh-a-1", OK: true},
-		"ack/failed":      &MhAck{Payment: "mh-a-1", Reason: "no"},
 		"abort/long":      &MhAbort{Payment: PaymentID(bytes.Repeat([]byte("p"), 300)), Reason: string(bytes.Repeat([]byte("r"), 300))},
 	}
 }
@@ -227,6 +225,9 @@ func TestMhCodecDecodeDoesNotAlias(t *testing.T) {
 // to the same message.
 func FuzzDecodeFrame(f *testing.F) {
 	for _, proto := range registry {
+		if proto == nil {
+			continue
+		}
 		msg := reflect.New(reflect.TypeOf(proto).Elem())
 		fillValue(msg.Elem())
 		frame, err := AppendFrame(nil, testIdentity(), []byte("tok"), msg.Interface().(Message))
@@ -244,6 +245,16 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		f.Add(frame[4:])
+	}
+	// Code 21 is reserved for the deleted MhAck, whose payload had
+	// MhAbort's layout: frames an older peer could still send under it.
+	for _, m := range []*MhAbort{{Payment: "mh-a-1", Transient: true}, {Payment: "mh-a-1", Reason: "no"}, {}} {
+		frame, err := AppendFrame(nil, testIdentity(), nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame[5] = 21
 		f.Add(frame[4:])
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -1,6 +1,6 @@
 // Package wire defines the Teechain protocol messages exchanged between
-// enclaves, their sizes for network simulation, and a transport encoding
-// for the real-socket demo.
+// enclaves, their sizes for network simulation, and their framing for
+// byte transports (frame.go).
 //
 // Messages travel between enclaves either as Go values over the
 // discrete-event simulator or framed over TCP (frame.go: binary payloads
@@ -10,10 +10,6 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-
 	"teechain/internal/chain"
 	"teechain/internal/cryptoutil"
 	"teechain/internal/tee"
@@ -339,17 +335,6 @@ type MhRelease struct {
 // WireSize implements Message.
 func (m *MhRelease) WireSize() int { return hdrSize + idOverhead }
 
-// MhAck reports multi-hop payment completion (or failure) to the
-// initiating host, which measures latency and drives retries.
-type MhAck struct {
-	Payment PaymentID
-	OK      bool
-	Reason  string
-}
-
-// WireSize implements Message.
-func (m *MhAck) WireSize() int { return hdrSize + idOverhead + 1 + len(m.Reason) }
-
 // MhAbort unwinds a multi-hop payment that failed during the lock phase
 // (e.g. a locked or underfunded channel downstream), travelling backward
 // and releasing locks. After the sign stage completes, aborting is no
@@ -642,45 +627,3 @@ type OutsourceResult struct {
 
 // WireSize implements Message.
 func (m *OutsourceResult) WireSize() int { return hdrSize + 9 + len(m.Payload) }
-
-// Envelope frames a message for byte-oriented transports (the TCP
-// demo). The simulator passes Message values directly.
-type Envelope struct {
-	From string
-	Msg  Message
-}
-
-func init() {
-	for _, m := range []Message{
-		&Attest{}, &ChannelOpen{}, &ChannelAck{}, &ApproveDeposit{},
-		&ApprovedDeposit{}, &AssociateDeposit{}, &DissociateDeposit{},
-		&DissociateAck{}, &Pay{}, &PayAck{}, &PayNack{}, &SettleRequest{},
-		&SettleNotify{}, &MhLock{}, &MhSign{}, &MhPreUpdate{},
-		&MhUpdate{}, &MhPostUpdate{}, &MhRelease{}, &MhAck{}, &MhAbort{},
-		&ReplAttach{}, &ReplAttachAck{}, &ReplUpdate{}, &ReplAck{}, &ReplFreeze{},
-		&SigRequest{}, &SigResponse{}, &OutsourceCmd{}, &OutsourceResult{},
-		&ReplBatch{}, &ReplBatchAck{},
-		&ChanResume{}, &ChanResumeAck{}, &ReplResync{}, &ReplResyncAck{},
-		&ReplNack{}, &ChanAnnounce{}, &GossipSummary{},
-	} {
-		gob.Register(m)
-	}
-}
-
-// Marshal encodes an envelope for a byte transport.
-func Marshal(env Envelope) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-		return nil, fmt.Errorf("wire: encoding %T: %w", env.Msg, err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal decodes an envelope produced by Marshal.
-func Unmarshal(data []byte) (Envelope, error) {
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return Envelope{}, fmt.Errorf("wire: decoding envelope: %w", err)
-	}
-	return env, nil
-}

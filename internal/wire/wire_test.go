@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"reflect"
 	"testing"
 
 	"teechain/internal/chain"
@@ -43,7 +42,6 @@ func allMessages(t *testing.T) []Message {
 		&MhUpdate{Payment: "p1"},
 		&MhPostUpdate{Payment: "p1"},
 		&MhRelease{Payment: "p1"},
-		&MhAck{Payment: "p1", OK: true},
 		&ReplAttach{Chain: "r1", Snapshot: make([]byte, 128)},
 		&ReplUpdate{Chain: "r1", Seq: 3},
 		&ReplAck{Chain: "r1", Seq: 3, TauSigs: []TauSig{{Input: 0, Slot: 1}}},
@@ -73,31 +71,6 @@ func TestSizeGrowsWithPayload(t *testing.T) {
 	longPath := &MhLock{Path: make([]PathHop, 12)}
 	if longPath.WireSize() <= shortPath.WireSize() {
 		t.Fatal("path length not reflected in size")
-	}
-}
-
-func TestEnvelopeRoundTrip(t *testing.T) {
-	for _, m := range allMessages(t) {
-		data, err := Marshal(Envelope{From: "node-1", Msg: m})
-		if err != nil {
-			t.Fatalf("%T: Marshal: %v", m, err)
-		}
-		env, err := Unmarshal(data)
-		if err != nil {
-			t.Fatalf("%T: Unmarshal: %v", m, err)
-		}
-		if env.From != "node-1" {
-			t.Fatalf("%T: From = %q", m, env.From)
-		}
-		if !reflect.DeepEqual(env.Msg, m) {
-			t.Fatalf("%T: round trip mismatch:\n got %+v\nwant %+v", m, env.Msg, m)
-		}
-	}
-}
-
-func TestUnmarshalGarbage(t *testing.T) {
-	if _, err := Unmarshal([]byte("not a gob stream")); err == nil {
-		t.Fatal("garbage decoded")
 	}
 }
 

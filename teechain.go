@@ -140,7 +140,7 @@ func (n *Network) OpenChannel(a, b *Node, fundA, fundB Amount) (ChannelID, error
 // channels, shortest first, considering paths at most extra hops longer
 // than the shortest (dynamic routing, §7.4).
 func (n *Network) Paths(a, b *Node, k, extra int) [][]PublicKey {
-	return n.d.Router.Paths(a.Identity(), b.Identity(), k, extra)
+	return n.d.Paths(a.Identity(), b.Identity(), k, extra)
 }
 
 // Run drains the simulator: all in-flight protocol activity completes.
