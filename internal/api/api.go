@@ -133,13 +133,6 @@ func Errorf(code Code, format string, args ...any) *Error {
 	return &Error{Code: code, Msg: fmt.Sprintf(format, args...)}
 }
 
-// sizes for WireSize estimates (control-plane sizes feed no bandwidth
-// model; they only have to be plausible).
-const (
-	apiHdr  = 16
-	keySize = 65
-)
-
 // ReqHeader is embedded by every request: the client-chosen
 // correlation ID echoed by the response.
 type ReqHeader struct {
@@ -183,14 +176,12 @@ func (h *RespHeader) AsError() error {
 
 // Request is implemented by every control-plane request message.
 type Request interface {
-	wire.Message
 	CorrID() uint64
 	SetCorrID(uint64)
 }
 
 // Response is implemented by every control-plane response message.
 type Response interface {
-	wire.Message
 	CorrID() uint64
 	Status() (Code, string)
 }
@@ -205,9 +196,6 @@ type HelloReq struct {
 	Version uint16
 }
 
-// WireSize implements wire.Message.
-func (m *HelloReq) WireSize() int { return apiHdr + 10 }
-
 // HelloResp identifies the node: operator name, enclave identity, and
 // the host wallet's settlement address.
 type HelloResp struct {
@@ -217,9 +205,6 @@ type HelloResp struct {
 	Identity cryptoutil.PublicKey
 	Wallet   cryptoutil.Address
 }
-
-// WireSize implements wire.Message.
-func (m *HelloResp) WireSize() int { return apiHdr + 10 + len(m.Name) + keySize + 20 }
 
 // PeerInfo names one known peer.
 type PeerInfo struct {
@@ -232,18 +217,12 @@ type PeersReq struct {
 	ReqHeader
 }
 
-// WireSize implements wire.Message.
-func (m *PeersReq) WireSize() int { return apiHdr + 8 }
-
 // PeersResp carries the peer directory, sorted by name (deterministic
 // output — scripts and tests rely on the order).
 type PeersResp struct {
 	RespHeader
 	Peers []PeerInfo
 }
-
-// WireSize implements wire.Message.
-func (m *PeersResp) WireSize() int { return apiHdr + 8 + len(m.Peers)*(keySize+16) }
 
 // DialReq asks the node to connect (and keep reconnecting) to a peer
 // address.
@@ -252,16 +231,10 @@ type DialReq struct {
 	Addr string
 }
 
-// WireSize implements wire.Message.
-func (m *DialReq) WireSize() int { return apiHdr + 8 + len(m.Addr) }
-
 // DialResp acknowledges a DialReq.
 type DialResp struct {
 	RespHeader
 }
-
-// WireSize implements wire.Message.
-func (m *DialResp) WireSize() int { return apiHdr + 8 }
 
 // --- Channel lifecycle ---
 
@@ -272,16 +245,10 @@ type AttestReq struct {
 	Peer string
 }
 
-// WireSize implements wire.Message.
-func (m *AttestReq) WireSize() int { return apiHdr + 8 + len(m.Peer) }
-
 // AttestResp acknowledges an AttestReq.
 type AttestResp struct {
 	RespHeader
 }
-
-// WireSize implements wire.Message.
-func (m *AttestResp) WireSize() int { return apiHdr + 8 }
 
 // OpenChannelReq opens a payment channel with an attested peer.
 type OpenChannelReq struct {
@@ -289,17 +256,11 @@ type OpenChannelReq struct {
 	Peer string
 }
 
-// WireSize implements wire.Message.
-func (m *OpenChannelReq) WireSize() int { return apiHdr + 8 + len(m.Peer) }
-
 // OpenChannelResp returns the opened channel's id.
 type OpenChannelResp struct {
 	RespHeader
 	Channel wire.ChannelID
 }
-
-// WireSize implements wire.Message.
-func (m *OpenChannelResp) WireSize() int { return apiHdr + 8 + len(m.Channel) }
 
 // DepositReq creates a fresh on-chain deposit of Amount, runs the
 // approval handshake with the channel peer, and associates the deposit
@@ -310,17 +271,11 @@ type DepositReq struct {
 	Amount  chain.Amount
 }
 
-// WireSize implements wire.Message.
-func (m *DepositReq) WireSize() int { return apiHdr + 16 + len(m.Channel) }
-
 // DepositResp returns the deposit's on-chain outpoint.
 type DepositResp struct {
 	RespHeader
 	Point chain.OutPoint
 }
-
-// WireSize implements wire.Message.
-func (m *DepositResp) WireSize() int { return apiHdr + 8 + 36 }
 
 // --- Payments (hot path: wire.BinaryMessage codecs, see binary.go) ---
 
@@ -337,9 +292,6 @@ type PayReq struct {
 	Count   uint32
 }
 
-// WireSize implements wire.Message.
-func (m *PayReq) WireSize() int { return apiHdr + 20 + len(m.Channel) }
-
 // PayBatchReq sends len(Amounts) payments with independent amounts in
 // one PayBatch wire frame (atomic on both enclaves, one ack).
 type PayBatchReq struct {
@@ -348,9 +300,6 @@ type PayBatchReq struct {
 	Amounts []chain.Amount
 }
 
-// WireSize implements wire.Message.
-func (m *PayBatchReq) WireSize() int { return apiHdr + 12 + len(m.Channel) + 8*len(m.Amounts) }
-
 // PayResp completes a PayReq or PayBatchReq: Count payments settled.
 // CodeNacked reports that at least one payment in the request's span
 // was rejected and reversed by the peer.
@@ -358,9 +307,6 @@ type PayResp struct {
 	RespHeader
 	Count uint32
 }
-
-// WireSize implements wire.Message.
-func (m *PayResp) WireSize() int { return apiHdr + 16 + len(m.Err) }
 
 // MultihopReq routes Amount along Hops (each a peer name or hex
 // identity; this node is prepended automatically) and blocks for the
@@ -371,22 +317,10 @@ type MultihopReq struct {
 	Hops   []string
 }
 
-// WireSize implements wire.Message.
-func (m *MultihopReq) WireSize() int {
-	n := apiHdr + 16
-	for _, h := range m.Hops {
-		n += len(h) + 1
-	}
-	return n
-}
-
 // MultihopResp acknowledges a completed multi-hop payment.
 type MultihopResp struct {
 	RespHeader
 }
-
-// WireSize implements wire.Message.
-func (m *MultihopResp) WireSize() int { return apiHdr + 8 }
 
 // --- Routing (protocol v4; wire.BinaryMessage codecs since v5, see
 // binary.go) ---
@@ -406,8 +340,6 @@ type RouteInfo struct {
 // TotalFee is the route's cost beyond the delivered amount.
 func (r RouteInfo) TotalFee() chain.Amount { return r.Send - r.Amount }
 
-func (r RouteInfo) wireSize() int { return len(r.Hops)*(keySize+8) + 16 }
-
 // RouteReq asks the node's fee-aware pathfinder for the cheapest
 // currently-known route delivering Amount to Target (a peer name or
 // hex identity) — a dry run of RoutedPayReq's path choice.
@@ -417,18 +349,12 @@ type RouteReq struct {
 	Amount chain.Amount
 }
 
-// WireSize implements wire.Message.
-func (m *RouteReq) WireSize() int { return apiHdr + 16 + len(m.Target) }
-
 // RouteResp carries the found route. CodeNotFound reports that no open
 // path with sufficient announced capacity reaches the target.
 type RouteResp struct {
 	RespHeader
 	Route RouteInfo
 }
-
-// WireSize implements wire.Message.
-func (m *RouteResp) WireSize() int { return apiHdr + 8 + m.Route.wireSize() }
 
 // RoutedPayReq pays Amount to Target (a peer name or hex identity)
 // with no explicit path: the node's pathfinder supplies the hops and
@@ -442,9 +368,6 @@ type RoutedPayReq struct {
 	Amount chain.Amount
 }
 
-// WireSize implements wire.Message.
-func (m *RoutedPayReq) WireSize() int { return apiHdr + 16 + len(m.Target) }
-
 // RoutedPayResp reports the route the payment actually took.
 // CodeNacked with a retry hint means every candidate route aborted
 // transiently — retry to repath against a fresher graph
@@ -453,9 +376,6 @@ type RoutedPayResp struct {
 	RespHeader
 	Route RouteInfo
 }
-
-// WireSize implements wire.Message.
-func (m *RoutedPayResp) WireSize() int { return apiHdr + 8 + m.Route.wireSize() }
 
 // --- Committees and settlement ---
 
@@ -468,23 +388,11 @@ type CommitteeReq struct {
 	M       int
 }
 
-// WireSize implements wire.Message.
-func (m *CommitteeReq) WireSize() int {
-	n := apiHdr + 12
-	for _, mem := range m.Members {
-		n += len(mem) + 1
-	}
-	return n
-}
-
 // CommitteeResp returns the formed chain's identifier.
 type CommitteeResp struct {
 	RespHeader
 	Chain string
 }
-
-// WireSize implements wire.Message.
-func (m *CommitteeResp) WireSize() int { return apiHdr + 8 + len(m.Chain) }
 
 // SettleReq terminates a channel, submitting the settlement
 // transaction (when one is needed) to the blockchain.
@@ -493,17 +401,11 @@ type SettleReq struct {
 	Channel wire.ChannelID
 }
 
-// WireSize implements wire.Message.
-func (m *SettleReq) WireSize() int { return apiHdr + 8 + len(m.Channel) }
-
 // SettleResp acknowledges a SettleReq. Confirmation that the channel
 // closed arrives as EventSettled on a subscription.
 type SettleResp struct {
 	RespHeader
 }
-
-// WireSize implements wire.Message.
-func (m *SettleResp) WireSize() int { return apiHdr + 8 }
 
 // --- Chain and inspection ---
 
@@ -513,9 +415,6 @@ type BalancesReq struct {
 	Channel wire.ChannelID
 }
 
-// WireSize implements wire.Message.
-func (m *BalancesReq) WireSize() int { return apiHdr + 8 + len(m.Channel) }
-
 // BalancesResp carries the channel's (mine, remote) balances as seen
 // by the serving node.
 type BalancesResp struct {
@@ -524,17 +423,11 @@ type BalancesResp struct {
 	Remote chain.Amount
 }
 
-// WireSize implements wire.Message.
-func (m *BalancesResp) WireSize() int { return apiHdr + 24 }
-
 // MineReq mines Blocks blocks on the deployment's chain.
 type MineReq struct {
 	ReqHeader
 	Blocks int
 }
-
-// WireSize implements wire.Message.
-func (m *MineReq) WireSize() int { return apiHdr + 12 }
 
 // MineResp returns the chain height after mining.
 type MineResp struct {
@@ -542,25 +435,16 @@ type MineResp struct {
 	Height uint64
 }
 
-// WireSize implements wire.Message.
-func (m *MineResp) WireSize() int { return apiHdr + 16 }
-
 // BalanceReq reads the node wallet's on-chain balance.
 type BalanceReq struct {
 	ReqHeader
 }
-
-// WireSize implements wire.Message.
-func (m *BalanceReq) WireSize() int { return apiHdr + 8 }
 
 // BalanceResp carries the wallet balance.
 type BalanceResp struct {
 	RespHeader
 	Amount chain.Amount
 }
-
-// WireSize implements wire.Message.
-func (m *BalanceResp) WireSize() int { return apiHdr + 16 }
 
 // HostStats is the node's host-wide counter snapshot.
 type HostStats struct {
@@ -627,9 +511,6 @@ type StatsReq struct {
 	ReqHeader
 }
 
-// WireSize implements wire.Message.
-func (m *StatsReq) WireSize() int { return apiHdr + 8 }
-
 // RoutingStatsEntry snapshots the node's routing plane (protocol v4):
 // the gossip graph size, the flood-guard counters, and the node's own
 // forwarding fee policy.
@@ -654,9 +535,6 @@ type StatsResp struct {
 	Committee    CommitteeStatsEntry
 	Routing      RoutingStatsEntry
 }
-
-// WireSize implements wire.Message.
-func (m *StatsResp) WireSize() int { return apiHdr + 80 + len(m.Channels)*64 + 64 + 40 }
 
 // --- Event streaming ---
 
@@ -695,16 +573,10 @@ type SubscribeReq struct {
 	Mask EventMask
 }
 
-// WireSize implements wire.Message.
-func (m *SubscribeReq) WireSize() int { return apiHdr + 12 }
-
 // SubscribeResp acknowledges a SubscribeReq.
 type SubscribeResp struct {
 	RespHeader
 }
-
-// WireSize implements wire.Message.
-func (m *SubscribeResp) WireSize() int { return apiHdr + 8 }
 
 // Event is a server-pushed notification on a subscribed connection.
 // Seq numbers deliveries per connection starting at 1; a gap means the
@@ -731,18 +603,12 @@ type Event struct {
 	Cursor  uint64
 }
 
-// WireSize implements wire.Message.
-func (m *Event) WireSize() int { return apiHdr + 29 + len(m.Channel) + len(m.Chain) }
-
 // --- Durability & admin (protocol v2) ---
 
 // WalStatsReq asks for the node's durability pipeline snapshot.
 type WalStatsReq struct {
 	ReqHeader
 }
-
-// WireSize implements wire.Message.
-func (m *WalStatsReq) WireSize() int { return apiHdr + 8 }
 
 // WalStatsResp reports the durability pipeline: log cursors, fsync
 // batching, snapshot age, and whether the node is still recovering.
@@ -763,9 +629,6 @@ type WalStatsResp struct {
 	Recovering  bool          // recover not yet run to completion
 }
 
-// WireSize implements wire.Message.
-func (m *WalStatsResp) WireSize() int { return apiHdr + 8 + 90 + len(m.Err) }
-
 // SnapshotNowReq forces an immediate durable snapshot (sealing the
 // full enclave image under a fresh monotonic-counter increment and
 // truncating the WAL). Fails with CodeBadRequest on an in-memory node.
@@ -773,17 +636,11 @@ type SnapshotNowReq struct {
 	ReqHeader
 }
 
-// WireSize implements wire.Message.
-func (m *SnapshotNowReq) WireSize() int { return apiHdr + 8 }
-
 // SnapshotNowResp reports the log sequence the snapshot covers.
 type SnapshotNowResp struct {
 	RespHeader
 	Seq uint64
 }
-
-// WireSize implements wire.Message.
-func (m *SnapshotNowResp) WireSize() int { return apiHdr + 16 + len(m.Err) }
 
 // RecoverReq runs crash recovery on a node that restarted from durable
 // state: re-attest neighbors, reconcile channels, resync the
@@ -792,9 +649,6 @@ func (m *SnapshotNowResp) WireSize() int { return apiHdr + 16 + len(m.Err) }
 type RecoverReq struct {
 	ReqHeader
 }
-
-// WireSize implements wire.Message.
-func (m *RecoverReq) WireSize() int { return apiHdr + 8 }
 
 // RecoverResp reports the recovery outcome. Recovered is true when
 // this request completed a recovery (false when none was needed);
@@ -805,18 +659,12 @@ type RecoverResp struct {
 	Resumed   int
 }
 
-// WireSize implements wire.Message.
-func (m *RecoverResp) WireSize() int { return apiHdr + 16 + len(m.Err) }
-
 // ErrorResp is the generic failure response for requests the server
 // cannot answer in their own response type (unknown request types,
 // requests before hello).
 type ErrorResp struct {
 	RespHeader
 }
-
-// WireSize implements wire.Message.
-func (m *ErrorResp) WireSize() int { return apiHdr + 8 + len(m.Err) }
 
 // Messages lists one instance of every control-plane message type, in
 // registration order. The registry test pins their wire codes; the

@@ -431,7 +431,3 @@ func (c *Chain) MempoolSize() int { return len(c.mempool) }
 // OnBlock registers fn to run after every newly mined block. Observers
 // must not mine from within the callback.
 func (c *Chain) OnBlock(fn func(*Block)) { c.onBlock = append(c.onBlock, fn) }
-
-// Blocks returns the mined blocks (shared slice; callers must not
-// modify).
-func (c *Chain) Blocks() []*Block { return c.blocks }

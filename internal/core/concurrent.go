@@ -59,16 +59,15 @@ import (
 //     after an append. The durable log (EnableDurable) is pipelined the
 //     same way, and serving as a committee BACKUP never touches lanes:
 //     mirrors only see replication frames, which are wide-path messages;
-//   - a Config whose features funnel payment commits through shared
-//     state — stable storage's sealed snapshots, outsourcing's command
-//     relay — is refused: such an enclave belongs on a single-threaded
-//     host (the simulator's Node).
+//   - a Config that allows outsourcing is refused: its command relay
+//     funnels payment commits through shared state, so such an enclave
+//     belongs on a single-threaded host (the simulator's Node).
 //
 // Must be called before the host spawns any goroutine that can reach
 // the enclave, and before FormCommittee or RestoreDurable.
 func (e *Enclave) EnableConcurrentHost(replNotify func()) error {
-	if e.cfg.StableStorage || e.cfg.AllowOutsource {
-		return errors.New("core: StableStorage and AllowOutsource serialize payments through shared state; a concurrent host cannot run them")
+	if e.cfg.AllowOutsource {
+		return errors.New("core: AllowOutsource serializes payments through shared state; a concurrent host cannot run it")
 	}
 	e.pools.setShared()
 	e.replPipelined = true

@@ -439,6 +439,42 @@ func TestMultihopPayment(t *testing.T) {
 	w.run()
 }
 
+// TestMultihopReportsTheCompletingPath: when the primary path cannot
+// carry a payment, the retry rotates to the alternate and
+// PayMultihopPath names the path the payment completed on, which is
+// what Table 3 credits its hops to.
+func TestMultihopReportsTheCompletingPath(t *testing.T) {
+	w := newWorld(t)
+	a := w.node("alice", NodeConfig{MaxRetries: 2})
+	b := w.node("bob", NodeConfig{})
+	c := w.node("carol", NodeConfig{})
+	d := w.node("dave", NodeConfig{})
+	e := w.node("erin", NodeConfig{})
+	w.pipeline(1000, a, b)
+	w.connect(b, c)
+	w.openChannel(b, c) // unfunded: bob has nothing to forward
+	alt := w.pipeline(1000, a, d, e, c)
+
+	paths := [][]cryptoutil.PublicKey{identityPath(a, b, c), identityPath(a, d, e, c)}
+	got := -1
+	err := a.PayMultihopPath(paths, 100, 1, func(ok bool, _ time.Duration, reason string, path int) {
+		if !ok {
+			t.Fatalf("multihop failed: %s", reason)
+		}
+		got = path
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.run()
+	if got != 1 {
+		t.Fatalf("completed on path %d, want the alternate (1)", got)
+	}
+	if my, _ := channelBal(t, c, alt[2]); my != 100 {
+		t.Fatalf("carol received %d over erin's channel, want 100", my)
+	}
+}
+
 func TestMultihopLongPath(t *testing.T) {
 	w := newWorld(t)
 	nodes := make([]*Node, 6)

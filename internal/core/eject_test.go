@@ -278,12 +278,13 @@ func TestReplayedEnvelopeDropped(t *testing.T) {
 		t.Fatalf("bob balance %d, want 100", myB)
 	}
 
-	// Forge a replay: reuse a stale token by sealing one, delivering it
-	// twice.
-	token, err := a.Enclave().SealToken(b.Identity())
-	if err != nil {
-		t.Fatal(err)
+	// Forge a replay: reuse a stale token by sealing one through the
+	// peer session the way Node.send does, delivering it twice.
+	sess := a.Enclave().establishedSession(b.Identity())
+	if sess == nil {
+		t.Fatal("alice has no session with bob")
 	}
+	token := sess.transport.SealAppend(nil, nil, nil)
 	env := &Envelope{From: a.Identity(), Msg: &wire.Pay{Channel: id, Amount: 100, Count: 1}, Token: token}
 	if err := w.net.Send(a.ID, b.ID, env, env.WireSize()); err != nil {
 		t.Fatal(err)

@@ -23,9 +23,6 @@ type Config struct {
 	// MinConfirmations is how deep a deposit must be buried before this
 	// enclave approves it for a shared channel (§4.1 deposit approval).
 	MinConfirmations uint64
-	// StableStorage enables the crash-fault persistence mode of §6.2:
-	// every state change is sealed under a monotonic counter.
-	StableStorage bool
 	// AllowOutsource permits one TEE-less user to attach and drive this
 	// enclave remotely (§3).
 	AllowOutsource bool
@@ -407,18 +404,6 @@ func (e *Enclave) establishedSession(peer cryptoutil.PublicKey) *peerSession {
 	return s
 }
 
-// SealToken produces the freshness/authentication token accompanying a
-// message to peer; HandleSealed checks one on receipt. Hosts seal one
-// per transport send, giving all protocol messages replay protection
-// (§7.1) regardless of transport.
-func (e *Enclave) SealToken(peer cryptoutil.PublicKey) ([]byte, error) {
-	s, err := e.session(peer)
-	if err != nil {
-		return nil, err
-	}
-	return s.transport.Seal(nil, nil), nil
-}
-
 // ErrTokenBinding reports a bound token whose authenticated type code
 // does not match the frame header's declared code: the header was
 // rewritten in flight.
@@ -500,20 +485,13 @@ func (e *Enclave) commitLog() *replLog {
 // flusher fsyncs. Without backups or a WAL the effects release
 // immediately. In immediate mode (the simulator) the sequenced update
 // is emitted synchronously; in pipelined mode (socket hosts) it only
-// joins the log and the host's flusher(s) drain it in batches. In
-// legacy stable-storage mode the state is sealed synchronously under a
-// monotonic counter.
+// joins the log and the host's flusher(s) drain it in batches.
 func (e *Enclave) commit(op *Op, out []Outbound, events []Event) (*Result, error) {
 	if e.repl != nil || e.wal != nil {
 		return e.commitRepl(op, out, events)
 	}
 	if err := e.state.Apply(op); err != nil {
 		return nil, err
-	}
-	if e.cfg.StableStorage {
-		if err := e.persist(); err != nil {
-			return nil, err
-		}
 	}
 	return &Result{Out: out, Events: events}, nil
 }
@@ -536,11 +514,6 @@ func (e *Enclave) commitRepl(op *Op, out []Outbound, events []Event) (*Result, e
 	}
 	if err := e.state.Apply(op); err != nil {
 		return nil, err
-	}
-	if e.cfg.StableStorage {
-		if err := e.persist(); err != nil {
-			return nil, err
-		}
 	}
 	if !replicated && !durable {
 		return &Result{Out: out, Events: events}, nil
@@ -576,13 +549,6 @@ func (e *Enclave) commitFast(op *Op, res *Result) (*Result, error) {
 		e.pools.putOp(op)
 		return nil, err
 	}
-	if e.cfg.StableStorage {
-		if err := e.persist(); err != nil {
-			e.pools.putResult(res)
-			e.pools.putOp(op)
-			return nil, err
-		}
-	}
 	e.pools.putOp(op)
 	return res, nil
 }
@@ -608,13 +574,6 @@ func (e *Enclave) commitFastRepl(op *Op, res *Result) (*Result, error) {
 		e.pools.putResult(res)
 		e.pools.putOp(op)
 		return nil, err
-	}
-	if e.cfg.StableStorage {
-		if err := e.persist(); err != nil {
-			e.pools.putResult(res)
-			e.pools.putOp(op)
-			return nil, err
-		}
 	}
 	if !replicated && !durable {
 		e.pools.putOp(op)
@@ -894,17 +853,6 @@ func (e *Enclave) deferBehindPending(to cryptoutil.PublicKey, msg wire.Message) 
 		return &Result{}
 	}
 	return &Result{Out: oneOut(to, msg)}
-}
-
-// persist seals the enclave state under a monotonic counter (§6.2).
-// The caller's host charges the counter increment latency.
-func (e *Enclave) persist() error {
-	snap, err := e.snapshotState()
-	if err != nil {
-		return err
-	}
-	_, err = tee.SealStateWithCounter(e.platform, e.measurement, e.counterName, snap)
-	return err
 }
 
 func (e *Enclave) snapshotState() ([]byte, error) {

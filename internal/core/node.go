@@ -57,10 +57,13 @@ type Envelope struct {
 	pooled bool
 }
 
-// WireSize implements the sizing interface for bandwidth modelling.
+// WireSize is the envelope's size on the simulated network: the sender
+// identity, the token and the message's own WireSize. Only
+// enclave-protocol messages travel in envelopes, and each of them has a
+// size (wire.TestWireSizesPositive).
 func (env *Envelope) WireSize() int {
 	n := 65 + len(env.Token)
-	if s, ok := env.Msg.(wire.Message); ok {
+	if s, ok := env.Msg.(interface{ WireSize() int }); ok {
 		n += s.WireSize()
 	}
 	return n
@@ -69,6 +72,12 @@ func (env *Envelope) WireSize() int {
 // NodeConfig bundles host-level policy.
 type NodeConfig struct {
 	Enclave Config
+	// StableStorage selects the §6.2 crash-fault persistence mode's cost
+	// model: every state-changing message, and every outgoing payment,
+	// pays one monotonic counter increment (CostModel, sendPay). The
+	// simulator models the mode's timing only; the socket host's WAL
+	// (transport.Config.DataDir) is its implementation.
+	StableStorage bool
 	// BatchWindow, when positive, enables client-side payment batching
 	// with that flush interval (§7.2 uses 100 ms).
 	BatchWindow time.Duration
@@ -126,7 +135,6 @@ type peerRoute struct {
 
 type mhAttempt struct {
 	id     wire.PaymentID
-	dest   cryptoutil.PublicKey
 	amount chain.Amount
 	count  int
 	paths  [][]cryptoutil.PublicKey
@@ -136,7 +144,20 @@ type mhAttempt struct {
 	pathIdx int
 	tries   int
 	done    PayDone
-	started sim.Time
+	// donePath, set by PayMultihopPath in place of done, also learns
+	// which path the last attempt took.
+	donePath func(ok bool, latency time.Duration, reason string, path int)
+	started  sim.Time
+}
+
+// report hands the attempt's outcome to its issuer.
+func (att *mhAttempt) report(ok bool, latency time.Duration, reason string) {
+	switch {
+	case att.donePath != nil:
+		att.donePath(ok, latency, reason, att.pathIdx%len(att.paths))
+	case att.done != nil:
+		att.done(ok, latency, reason)
+	}
 }
 
 // Node is the untrusted Teechain host: it owns the network endpoint,
@@ -238,7 +259,7 @@ func NewNode(id netsim.NodeID, net *netsim.Network, bc *chain.Chain, dir *Direct
 		mh:              make(map[wire.PaymentID]*mhAttempt),
 		peers:           make(map[cryptoutil.PublicKey]*peerRoute),
 		pools:           dir.pools,
-		costFn:          CostModel(cfg.Enclave.StableStorage),
+		costFn:          CostModel(cfg.StableStorage),
 	}
 	enclave.pools = dir.pools
 	n.ep = net.AddNode(id, n.handleNetMessage, n.messageCost)
@@ -759,11 +780,11 @@ func (n *Node) flushBatch(channel wire.ChannelID) {
 }
 
 func (n *Node) sendPay(channel wire.ChannelID, cr *chanRuntime, amount chain.Amount, b *inflightBatch) error {
-	if !n.cfg.Enclave.StableStorage {
+	if !n.cfg.StableStorage {
 		return n.doSendPay(channel, cr, amount, b)
 	}
-	// Stable storage seals state under a monotonic counter before the
-	// payment leaves the enclave.
+	// Stable storage pays for sealing state under a monotonic counter
+	// before the payment leaves the enclave.
 	n.chargeLocal(tee.CounterIncrementLatency, func() {
 		if err := n.doSendPay(channel, cr, amount, b); err != nil {
 			n.failBatch(b, err.Error())
@@ -865,27 +886,32 @@ func (n *Node) PayMultihop(paths [][]cryptoutil.PublicKey, amount chain.Amount, 
 // schedules: fees, when non-nil, aligns with paths and each schedule
 // aligns with its path (route.Route supplies both halves).
 func (n *Node) PayMultihopFees(paths [][]cryptoutil.PublicKey, fees [][]chain.Amount, amount chain.Amount, count int, done PayDone) error {
-	if len(paths) == 0 {
-		return errors.New("core: no paths supplied")
-	}
-	if fees != nil && len(fees) != len(paths) {
-		return fmt.Errorf("core: %d fee schedules for %d paths", len(fees), len(paths))
-	}
-	n.mhSeq++
-	att := &mhAttempt{
-		dest:    paths[0][len(paths[0])-1],
-		amount:  amount,
-		count:   count,
-		paths:   paths,
-		fees:    fees,
-		done:    done,
-		started: n.sim.Now(),
-	}
-	n.PaymentsSent += uint64(count)
-	return n.launchMultihop(att)
+	return n.startMultihop(&mhAttempt{paths: paths, fees: fees, amount: amount, count: count, done: done})
 }
 
-func (n *Node) launchMultihop(att *mhAttempt) error {
+// PayMultihopPath is PayMultihop whose done also receives the index
+// into paths of the path the last attempt took: on success, the path
+// that carried the payment, which is not the primary once a retry
+// rotated to an alternate.
+func (n *Node) PayMultihopPath(paths [][]cryptoutil.PublicKey, amount chain.Amount, count int, done func(ok bool, latency time.Duration, reason string, path int)) error {
+	return n.startMultihop(&mhAttempt{paths: paths, amount: amount, count: count, donePath: done})
+}
+
+func (n *Node) startMultihop(att *mhAttempt) error {
+	if len(att.paths) == 0 {
+		return errors.New("core: no paths supplied")
+	}
+	if att.fees != nil && len(att.fees) != len(att.paths) {
+		return fmt.Errorf("core: %d fee schedules for %d paths", len(att.fees), len(att.paths))
+	}
+	n.mhSeq++
+	att.started = n.sim.Now()
+	n.PaymentsSent += uint64(att.count)
+	n.launchMultihop(att)
+	return nil
+}
+
+func (n *Node) launchMultihop(att *mhAttempt) {
 	n.mhSeq++
 	att.id = wire.PaymentID(fmt.Sprintf("mh-%s-%d", n.ID, n.mhSeq))
 	path := att.paths[att.pathIdx%len(att.paths)]
@@ -899,12 +925,11 @@ func (n *Node) launchMultihop(att *mhAttempt) error {
 		// remote failure.
 		n.mh[att.id] = att
 		n.retryMultihop(att, err.Error())
-		return nil
+		return
 	}
 	n.mh[att.id] = att
 	n.watchTau(att.id)
 	n.dispatch(res)
-	return nil
 }
 
 func (n *Node) finishMultihop(e EvMultihopComplete) {
@@ -917,9 +942,7 @@ func (n *Node) finishMultihop(e EvMultihopComplete) {
 		n.unwatch(e.Payment)
 		n.MultihopsOK++
 		n.PaymentsAcked += uint64(att.count)
-		if att.done != nil {
-			att.done(true, n.sim.Now().Sub(att.started), "")
-		}
+		att.report(true, n.sim.Now().Sub(att.started), "")
 		return
 	}
 	n.retryMultihop(att, e.Reason)
@@ -930,21 +953,12 @@ func (n *Node) retryMultihop(att *mhAttempt, reason string) {
 	att.tries++
 	if att.tries > n.cfg.MaxRetries {
 		n.MultihopsFailed++
-		if att.done != nil {
-			att.done(false, n.sim.Now().Sub(att.started), reason)
-		}
+		att.report(false, n.sim.Now().Sub(att.started), reason)
 		return
 	}
 	att.pathIdx++ // rotate paths when alternates exist
 	backoff := n.rnd.DurationBetween(n.cfg.RetryMin, n.cfg.RetryMax)
-	n.sim.Schedule(backoff, func() {
-		if err := n.launchMultihop(att); err != nil {
-			n.MultihopsFailed++
-			if att.done != nil {
-				att.done(false, n.sim.Now().Sub(att.started), err.Error())
-			}
-		}
-	})
+	n.sim.Schedule(backoff, func() { n.launchMultihop(att) })
 }
 
 // watchTau registers the τ inputs of an in-flight payment for

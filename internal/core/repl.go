@@ -461,36 +461,34 @@ func (e *Enclave) ReplNextFlush(batch *wire.ReplBatch, maxOps, maxWindow int) (t
 	return backup, batch, len(batch.Ops)
 }
 
-// ReplRewindFlush un-flushes the last n flushed-but-unacknowledged ops
-// after the host failed to hand their frame to the transport (outbound
-// queue full, encode failure): the entries are still in the window, so
-// rewinding flushSeq re-offers them to the next ReplNextFlush. Safe
-// because the frame never left the host — no ack for those sequences
-// can be in flight, and the freshness counter the discarded frame
-// consumed is just a gap the receiver's anti-replay window skips.
-func (e *Enclave) ReplRewindFlush(n int) {
+// ReplRewind un-serves msg, a frame of n ops from ReplNextFlush, after
+// the host failed to hand it to the transport (outbound queue full,
+// encode failure): the entries are still in the window, so moving back
+// the cursor the frame was served from — the retransmit cursor for a
+// Retx-flagged frame, the flush cursor otherwise — re-offers them to
+// the next ReplNextFlush. Safe because the frame never left the host —
+// no ack for those sequences can be in flight, and the freshness
+// counter the discarded frame consumed is just a gap the receiver's
+// anti-replay window skips. A cursor never moves below the ack.
+func (e *Enclave) ReplRewind(msg wire.Message, n int) {
 	if e.repl == nil || n <= 0 {
 		return
 	}
-	l := e.repl.log
-	l.mu.Lock()
-	if un := uint64(n); l.flushSeq >= un && l.flushSeq-un >= l.ackSeq {
-		l.flushSeq -= un
-	}
-	l.mu.Unlock()
-}
-
-// ReplRewindRetx is ReplRewindFlush for a retransmitted frame the host
-// failed to hand to the transport: it re-offers the last n re-served
-// ops by rewinding the retransmit cursor instead of the flush cursor.
-func (e *Enclave) ReplRewindRetx(n int) {
-	if e.repl == nil || n <= 0 {
-		return
+	retx := false
+	switch m := msg.(type) {
+	case *wire.ReplBatch:
+		retx = m.Retx
+	case *wire.ReplUpdate:
+		retx = m.Retx
 	}
 	l := e.repl.log
 	l.mu.Lock()
-	if un := uint64(n); l.retxSeq >= un && l.retxSeq-un >= l.ackSeq {
-		l.retxSeq -= un
+	cursor := &l.flushSeq
+	if retx {
+		cursor = &l.retxSeq
+	}
+	if un := uint64(n); *cursor >= un && *cursor-un >= l.ackSeq {
+		*cursor -= un
 	}
 	l.mu.Unlock()
 }

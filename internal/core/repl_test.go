@@ -226,8 +226,8 @@ func pipelinedPair(t *testing.T) (*directWorld, *Enclave, *Enclave, *Enclave, wi
 	return w, owner, m1, bob, id
 }
 
-// TestConcurrentHostRefusesLaneDisqualifyingConfig: the features that
-// funnel payment commits through shared state cannot be combined with
+// TestConcurrentHostRefusesLaneDisqualifyingConfig: outsourcing funnels
+// payment commits through shared state, so it cannot be combined with
 // concurrent lanes, and the refusal happens at construction — there is
 // no per-message eligibility question left to ask.
 func TestConcurrentHostRefusesLaneDisqualifyingConfig(t *testing.T) {
@@ -235,17 +235,13 @@ func TestConcurrentHostRefusesLaneDisqualifyingConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, cfg := range map[string]Config{
-		"stable storage": {MinConfirmations: 1, StableStorage: true},
-		"outsourcing":    {MinConfirmations: 1, AllowOutsource: true},
-	} {
-		e, err := NewEnclave(tee.NewPlatform(auth, name), auth.PublicKey(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := e.EnableConcurrentHost(nil); err == nil {
-			t.Errorf("%s: EnableConcurrentHost accepted a Config that disqualifies lanes", name)
-		}
+	cfg := Config{MinConfirmations: 1, AllowOutsource: true}
+	e, err := NewEnclave(tee.NewPlatform(auth, "outsourcing"), auth.PublicKey(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.EnableConcurrentHost(nil); err == nil {
+		t.Error("EnableConcurrentHost accepted an outsourcing Config")
 	}
 }
 
@@ -331,7 +327,7 @@ func TestReplRewindFlushReoffersOps(t *testing.T) {
 		t.Fatalf("flushed %d ops, want 3", n)
 	}
 	first, ops := batch.FirstSeq, append([]wire.ReplBatchOp(nil), batch.Ops...)
-	owner.ReplRewindFlush(n)
+	owner.ReplRewind(&batch, n)
 	to, msg, n2 := owner.ReplNextFlush(&batch, wire.MaxReplBatch, 1<<20)
 	if n2 != 3 || batch.FirstSeq != first {
 		t.Fatalf("re-flush: %d ops from seq %d, want 3 from %d", n2, batch.FirstSeq, first)
@@ -348,6 +344,80 @@ func TestReplRewindFlushReoffersOps(t *testing.T) {
 	st, _ := owner.ReplStats()
 	if st.AckSeq != st.NextSeq {
 		t.Fatalf("log not drained after re-flush: %+v", st)
+	}
+}
+
+// TestReplRewindRetxReoffersSameSeqs: a retransmitted frame that never
+// left the host rewinds the retransmit cursor, so the next flush
+// re-serves exactly the same sequence numbers, and a rewind never takes
+// the cursor below the committee's ack.
+func TestReplRewindRetxReoffersSameSeqs(t *testing.T) {
+	w, owner, m1, _, id := pipelinedPair(t)
+	for i := 0; i < 6; i++ {
+		res, err := owner.Pay(id, 10, 1)
+		w.dispatch(owner, res, err)
+	}
+	// Lose the first 3-op batch and deliver the second: the mirror's
+	// gap NACK schedules a retransmission of the whole window.
+	var lost wire.ReplBatch
+	if _, _, n := owner.ReplNextFlush(&lost, 3, 1<<20); n != 3 {
+		t.Fatalf("stole %d ops, want 3", n)
+	}
+	base := lost.FirstSeq
+	var batch wire.ReplBatch
+	if n := w.flushOnce(owner, &batch, 3, 1<<20); n != 3 {
+		t.Fatalf("flushed %d ops, want 3", n)
+	}
+	if st, _ := owner.ReplStats(); st.NacksIn == 0 {
+		t.Fatalf("owner never saw the gap NACK: %+v", st)
+	}
+
+	// Take a 2-op retransmission, fail to send it, rewind it.
+	var retx wire.ReplBatch
+	_, msg, n := owner.ReplNextFlush(&retx, 2, 1<<20)
+	if n != 2 || !retx.Retx || retx.FirstSeq != base {
+		t.Fatalf("retransmission: %d ops from seq %d (retx %v), want 2 from %d", n, retx.FirstSeq, retx.Retx, base)
+	}
+	ops := append([]wire.ReplBatchOp(nil), retx.Ops...)
+	flushSeq := owner.repl.log.flushSeq
+	owner.ReplRewind(msg, n)
+	if got := owner.repl.log.flushSeq; got != flushSeq {
+		t.Fatalf("retransmit rewind moved the flush cursor %d -> %d", flushSeq, got)
+	}
+	to, msg, n := owner.ReplNextFlush(&retx, 2, 1<<20)
+	if n != 2 || !retx.Retx || retx.FirstSeq != base {
+		t.Fatalf("re-serve: %d ops from seq %d (retx %v), want 2 from %d", n, retx.FirstSeq, retx.Retx, base)
+	}
+	for i := range ops {
+		if retx.Ops[i] != ops[i] {
+			t.Fatalf("re-served op %d differs: %+v vs %+v", i, retx.Ops[i], ops[i])
+		}
+	}
+
+	// Deliver it: the mirror acks through base+1. Rewinding the frame
+	// now would cross that ack, so the cursor stays.
+	w.queue = append(w.queue, Outbound{To: to, Msg: msg})
+	w.from = append(w.from, owner.Identity())
+	w.pump()
+	if st, _ := owner.ReplStats(); st.AckSeq != base+1 {
+		t.Fatalf("ack through %d, want %d", st.AckSeq, base+1)
+	}
+	owner.ReplRewind(msg, n)
+	if l := owner.repl.log; l.retxSeq < l.ackSeq {
+		t.Fatalf("rewind took the retransmit cursor to %d, below the ack %d", l.retxSeq, l.ackSeq)
+	}
+	if _, _, n := owner.ReplNextFlush(&retx, 2, 1<<20); n == 0 || retx.FirstSeq != base+2 {
+		t.Fatalf("after the ack: %d ops from seq %d, want the retransmission to resume at %d", n, retx.FirstSeq, base+2)
+	}
+	owner.ReplRewind(&retx, n)
+	w.settle(owner)
+	st, _ := owner.ReplStats()
+	if st.AckSeq != st.NextSeq {
+		t.Fatalf("log never converged: %+v", st)
+	}
+	mirror, _ := m1.MirrorState(owner.ChainID())
+	if mc := mirror.Channels[id]; mc.MyBal != pipeFund-60 || mc.RemoteBal != 60 {
+		t.Fatalf("mirror did not converge: %d/%d", mc.MyBal, mc.RemoteBal)
 	}
 }
 

@@ -256,8 +256,8 @@ func TestFreezeStopsFurtherPayments(t *testing.T) {
 
 func TestStableStorageLatencyAndRollback(t *testing.T) {
 	w := newWorld(t)
-	a := w.node("alice", NodeConfig{Enclave: Config{StableStorage: true, MinConfirmations: 1}})
-	b := w.node("bob", NodeConfig{Enclave: Config{StableStorage: true, MinConfirmations: 1}})
+	a := w.node("alice", NodeConfig{StableStorage: true, Enclave: Config{MinConfirmations: 1}})
+	b := w.node("bob", NodeConfig{StableStorage: true, Enclave: Config{MinConfirmations: 1}})
 	w.connect(a, b)
 	id := w.openChannel(a, b)
 	w.fundAndAssociate(a, b, id, 1000)

@@ -126,10 +126,6 @@ func New(seed int64, logf func(string, ...any)) *Network {
 	}
 }
 
-// Seed returns the seed the network was built with — the harness
-// prints it on failure so a run can be replayed.
-func (n *Network) Seed() int64 { return n.seed }
-
 // RegisterNode maps a peer listen address to a node name. Dials to
 // that address are wrapped; the mapping survives listener bounces as
 // long as the address is re-registered (or unchanged).

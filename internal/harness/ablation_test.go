@@ -118,10 +118,10 @@ func TestAblationCommitteeLength(t *testing.T) {
 			t.Fatal(err)
 		}
 		sites := []Site{SiteIL, SiteUK}
-		if err := buildCommittee(d, a, "a", sites[:members], false); err != nil {
+		if err := buildCommittee(d, a, "a", sites[:members]); err != nil {
 			t.Fatal(err)
 		}
-		if err := buildCommittee(d, b, "b", sites[:members], false); err != nil {
+		if err := buildCommittee(d, b, "b", sites[:members]); err != nil {
 			t.Fatal(err)
 		}
 		id, err := d.OpenChannel(a, b, 1_000_000, 0)

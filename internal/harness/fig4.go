@@ -133,7 +133,7 @@ func measureMultihopLatency(hops, replicas int, stable bool) (time.Duration, err
 	}
 	sites := fig4Sites(hops + 1)
 	nodes := make([]*core.Node, hops+1)
-	cfg := core.NodeConfig{Enclave: core.Config{StableStorage: stable}}
+	cfg := core.NodeConfig{StableStorage: stable}
 	for i := range nodes {
 		n, err := d.AddNode(fmt.Sprintf("n%02d-%s", i, sites[i]), sites[i], cfg)
 		if err != nil {

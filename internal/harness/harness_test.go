@@ -210,6 +210,31 @@ func TestTable3AndFigure7Shape(t *testing.T) {
 	_ = FormatFigure7(points)
 }
 
+// TestTable3CreditsTheCompletingPath: a dynamic-routing payment that
+// retries completes on a longer alternate path, and Table 3 credits
+// that path's hops, so the dynamic rows read more hops than the static
+// ones (Table 3: 3.2 -> 5.4). Crediting the first path's length made
+// all four rows equal. The run is deterministic
+// (TestHubSpokeDeterminism), so the strict check is stable.
+func TestTable3CreditsTheCompletingPath(t *testing.T) {
+	rows, err := RunTable3(25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]Table3Row{}
+	for _, r := range rows {
+		byName[r.Approach] = r
+	}
+	for static, dynamic := range map[string]string{
+		"No fault tolerance": "Dynamic routing (No FT)",
+		"One replica":        "Dynamic routing (One replica)",
+	} {
+		if s, d := byName[static].AvgHops, byName[dynamic].AvgHops; d <= s {
+			t.Errorf("%s averages %v hops, not above %s's %v", dynamic, d, static, s)
+		}
+	}
+}
+
 func TestTable1LNRowMatchesModel(t *testing.T) {
 	rtt := lookupLink(SiteUS, SiteUK).rtt
 	if got := lightning.PaymentLatency(rtt); got < 380*time.Millisecond || got > 400*time.Millisecond {

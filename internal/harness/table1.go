@@ -92,7 +92,7 @@ func runTable1Spec(spec table1Spec) (Table1Row, error) {
 	if err != nil {
 		return Table1Row{}, err
 	}
-	cfg := core.NodeConfig{Enclave: core.Config{StableStorage: spec.stable}}
+	cfg := core.NodeConfig{StableStorage: spec.stable}
 	if spec.batch {
 		cfg.BatchWindow = core.DefaultBatchWindow
 	}
@@ -107,10 +107,10 @@ func runTable1Spec(spec table1Spec) (Table1Row, error) {
 	if err != nil {
 		return Table1Row{}, err
 	}
-	if err := buildCommittee(d, us, "US", spec.replicaSitesA, spec.stable); err != nil {
+	if err := buildCommittee(d, us, "US", spec.replicaSitesA); err != nil {
 		return Table1Row{}, err
 	}
-	if err := buildCommittee(d, uk, "UK1", spec.replicaSitesB, spec.stable); err != nil {
+	if err := buildCommittee(d, uk, "UK1", spec.replicaSitesB); err != nil {
 		return Table1Row{}, err
 	}
 	id, err := d.OpenChannel(us, uk, 1_000_000_000, 0)
@@ -176,14 +176,13 @@ func runTable1Spec(spec table1Spec) (Table1Row, error) {
 // buildCommittee adds committee member nodes at the given sites and
 // forms the owner's chain (m = n for full Byzantine protection; the
 // paper notes m does not affect throughput).
-func buildCommittee(d *Deployment, owner *core.Node, prefix string, sites []Site, stable bool) error {
+func buildCommittee(d *Deployment, owner *core.Node, prefix string, sites []Site) error {
 	if len(sites) == 0 {
 		return nil
 	}
 	members := make([]*core.Node, len(sites))
 	for i, site := range sites {
-		m, err := d.AddNode(fmt.Sprintf("%s-r%d-%s", prefix, i+1, site), site,
-			core.NodeConfig{Enclave: core.Config{StableStorage: false}})
+		m, err := d.AddNode(fmt.Sprintf("%s-r%d-%s", prefix, i+1, site), site, core.NodeConfig{})
 		if err != nil {
 			return err
 		}

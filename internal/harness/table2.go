@@ -179,7 +179,7 @@ func measureAssociate(sites []Site, stable bool) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	cfg := core.NodeConfig{Enclave: core.Config{StableStorage: stable}}
+	cfg := core.NodeConfig{StableStorage: stable}
 	us, err := d.AddNode("US", SiteUS, cfg)
 	if err != nil {
 		return 0, err
@@ -188,10 +188,10 @@ func measureAssociate(sites []Site, stable bool) (time.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := buildCommittee(d, us, "US", sites, stable); err != nil {
+	if err := buildCommittee(d, us, "US", sites); err != nil {
 		return 0, err
 	}
-	if err := buildCommittee(d, uk, "UK1", ukSitesFor(sites), stable); err != nil {
+	if err := buildCommittee(d, uk, "UK1", ukSitesFor(sites)); err != nil {
 		return 0, err
 	}
 	id, err := d.OpenChannel(us, uk, 0, 0)

@@ -261,6 +261,21 @@ func runHubSpoke(committee int, dynamic bool, tempChannels, paymentsPerMachine i
 	}
 
 	var pump func(k int)
+	record := func(ok bool, lat time.Duration, hops int) {
+		acked++
+		if acked == warmup {
+			tWarm = d.Sim.Now()
+		}
+		if acked >= warmup && ok {
+			stats.Record(lat)
+			totalHops += hops
+			hopSamples++
+		}
+		if acked == target {
+			tEnd = d.Sim.Now()
+		}
+		pump(1)
+	}
 	pump = func(k int) {
 		for i := 0; i < k && issued < total; i++ {
 			issued++
@@ -271,27 +286,12 @@ func runHubSpoke(committee int, dynamic bool, tempChannels, paymentsPerMachine i
 				acked++
 				continue
 			}
-			record := func(hops int) core.PayDone {
-				return func(ok bool, lat time.Duration, _ string) {
-					acked++
-					if acked == warmup {
-						tWarm = d.Sim.Now()
-					}
-					if acked >= warmup && ok {
-						stats.Record(lat)
-						totalHops += hops
-						hopSamples++
-					}
-					if acked == target {
-						tEnd = d.Sim.Now()
-					}
-					pump(1)
-				}
-			}
 			var err error
 			amount := chain.Amount(p.Amount)
 			if id, ok := directChannel(src, dst); ok {
-				hs.nodes[src].PayRetry(id, amount, record(1))
+				hs.nodes[src].PayRetry(id, amount, func(ok bool, lat time.Duration, _ string) {
+					record(ok, lat, 1)
+				})
 			} else {
 				paths := d.Paths(hs.nodes[src].Identity(), hs.nodes[dst].Identity(), pathCount, extra)
 				if len(paths) == 0 {
@@ -299,8 +299,11 @@ func runHubSpoke(committee int, dynamic bool, tempChannels, paymentsPerMachine i
 					pump(1)
 					continue
 				}
-				hops := len(paths[0]) - 1
-				err = hs.nodes[src].PayMultihop(paths, amount, 1, record(hops))
+				// Credit the path the payment completed on: a retry
+				// rotates to the next alternate (§7.4's dynamic routing).
+				err = hs.nodes[src].PayMultihopPath(paths, amount, 1, func(ok bool, lat time.Duration, _ string, path int) {
+					record(ok, lat, len(paths[path])-1)
+				})
 			}
 			if err != nil {
 				acked++

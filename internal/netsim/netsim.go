@@ -341,15 +341,6 @@ func (n *Network) LinkStats(from, to NodeID) (messages, bytes uint64) {
 	return 0, 0
 }
 
-// LinkBusy returns the cumulative transmission (serialization) time of
-// the directed link, for utilisation diagnostics.
-func (n *Network) LinkBusy(from, to NodeID) time.Duration {
-	if l := n.peek(from, to); l != nil {
-		return l.tx.BusyTime()
-	}
-	return 0
-}
-
 // Endpoint returns a node's endpoint (nil if unknown), exposing its
 // processor for utilisation metrics.
 func (n *Network) Endpoint(id NodeID) *Endpoint { return n.byName[id] }

@@ -75,19 +75,5 @@ func (p *Processor) occupy(t Time, cost Duration) Time {
 	return done
 }
 
-// BusyUntil returns the instant the processor becomes idle given the
-// work submitted so far.
-func (p *Processor) BusyUntil() Time { return p.busyUntil }
-
 // BusyTime returns the cumulative occupied time.
 func (p *Processor) BusyTime() Duration { return p.busy }
-
-// Utilisation returns busy time divided by elapsed virtual time, in
-// [0, 1]. It reports zero before any time has elapsed.
-func (p *Processor) Utilisation() float64 {
-	now := p.sim.Now()
-	if now <= 0 {
-		return 0
-	}
-	return float64(p.busy) / float64(now)
-}

@@ -61,9 +61,6 @@ type Event struct {
 // Cancelled reports whether the event was cancelled before firing.
 func (e *Event) Cancelled() bool { return e.cancelled }
 
-// At returns the virtual instant the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // entry is one queued event, stored by value in the heap. Exactly one of
 // fn and act is set; ev is non-nil only for cancellable events.
 type entry struct {

@@ -227,7 +227,10 @@ func TestRoutedPaymentsGossipOnlyWhenHintIsWrong(t *testing.T) {
 	// A fresh deposit is announced exactly, so the first payment drops
 	// the paying sides (2^20 − 1000) below their hints — new hint
 	// 1 015 808, 31 768 below the balance — and lifts the receiving
-	// sides from empty to 1000, announced as 992.
+	// sides from empty to 1000, announced as 992. The baseline is taken
+	// once every graph has caught up with the funding announcements:
+	// awaitEdge only waited for alice's.
+	c.awaitHints()
 	versions := expectMoved(c.graphVersions())
 	pay(1000)
 	versions = expectMoved(versions, append(paying, receiving...)...)

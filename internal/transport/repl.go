@@ -25,7 +25,6 @@ import (
 
 	"teechain/internal/core"
 	"teechain/internal/cryptoutil"
-	"teechain/internal/wire"
 )
 
 // Replication flusher parameters.
@@ -171,7 +170,7 @@ func (h *Host) replFlush(batchOps int) int {
 			// The backup was attested, so a missing record means its peer
 			// entry collapsed mid-restart. Rewind the cursor so the ops
 			// are re-offered once the record is back.
-			h.replRewind(msg, n)
+			h.enclave.ReplRewind(msg, n)
 			h.mu.RUnlock()
 			h.logf("%s: no peer record for replication backup %s, deferring %d ops", h.cfg.Name, to, n)
 			return batchOps
@@ -185,7 +184,7 @@ func (h *Host) replFlush(batchOps int) int {
 			// NACK round trip at the next sequence gap. Retried on the
 			// next kick or tick, by which time the writer has drained
 			// queue space.
-			h.replRewind(msg, n)
+			h.enclave.ReplRewind(msg, n)
 			h.mu.RUnlock()
 			return batchOps
 		}
@@ -195,24 +194,6 @@ func (h *Host) replFlush(batchOps int) int {
 		if n >= batchOps && batchOps < maxReplBatchOps {
 			batchOps *= 2
 		}
-	}
-}
-
-// replRewind un-flushes n ops after a frame failed to leave, moving
-// the cursor the frame was served from: a Retx-flagged frame came off
-// the retransmission cursor, everything else off the flush cursor.
-func (h *Host) replRewind(msg wire.Message, n int) {
-	retx := false
-	switch m := msg.(type) {
-	case *wire.ReplBatch:
-		retx = m.Retx
-	case *wire.ReplUpdate:
-		retx = m.Retx
-	}
-	if retx {
-		h.enclave.ReplRewindRetx(n)
-	} else {
-		h.enclave.ReplRewindFlush(n)
 	}
 }
 

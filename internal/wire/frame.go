@@ -79,16 +79,14 @@ var (
 
 // Hello is the transport-level handshake frame: the first frame each
 // side of a fresh connection sends, announcing who is speaking. It
-// never reaches an enclave — hosts consume it to build their routing
-// table (the paper's out-of-band identity exchange) — but it lives in
-// the registry so one codec covers every frame on the wire.
+// never reaches an enclave or the simulated network, so it has no
+// WireSize — hosts consume it to build their routing table (the
+// paper's out-of-band identity exchange) — but it lives in the
+// registry so one codec covers every frame on the wire.
 type Hello struct {
 	Name   string               // operator-chosen node name
 	Payout cryptoutil.PublicKey // host wallet key for settlement
 }
-
-// WireSize implements Message.
-func (m *Hello) WireSize() int { return hdrSize + len(m.Name) + keySize }
 
 // BinaryMessage is implemented by hot-path messages whose payload is a
 // hand-rolled binary encoding instead of gob. AppendPayload appends the
@@ -98,7 +96,6 @@ func (m *Hello) WireSize() int { return hdrSize + len(m.Name) + keySize }
 // trailing bytes, and must tolerate a previously used receiver,
 // reusing its slice capacity where possible).
 type BinaryMessage interface {
-	Message
 	AppendPayload(dst []byte) ([]byte, error)
 	DecodePayload(src []byte) error
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // Channel-graph gossip (internal/route). Like Hello, these are
-// host-level frames: they never enter an enclave and carry no session
-// token — routing is advisory untrusted-host business, while value
-// safety stays with the enclave multihop protocol. Both are hand-rolled
+// host-level frames: they never enter an enclave or the simulated
+// network, so they carry no session token and no WireSize — routing
+// is advisory untrusted-host business, while value safety stays with
+// the enclave multihop protocol. Both are hand-rolled
 // BinaryMessage codecs: a 50-node mesh floods announcements on every
 // topology change, and gob's per-frame type descriptors would dominate
 // the payload.
@@ -50,11 +51,6 @@ const MaxChanAnnounce = 2048
 // plane's frame count below the payments' own under load.
 type ChanAnnounce struct {
 	Edges []EdgeAnnounce
-}
-
-// WireSize implements Message.
-func (m *ChanAnnounce) WireSize() int {
-	return hdrSize + 4 + len(m.Edges)*(idOverhead+edgeAnnounceFixed)
 }
 
 // AppendPayload implements BinaryMessage.
@@ -154,11 +150,6 @@ type GossipDigest struct {
 // converge after any partition without replaying the flood history.
 type GossipSummary struct {
 	Entries []GossipDigest
-}
-
-// WireSize implements Message.
-func (m *GossipSummary) WireSize() int {
-	return hdrSize + 4 + len(m.Entries)*(idOverhead+keySize+8)
 }
 
 // AppendPayload implements BinaryMessage.

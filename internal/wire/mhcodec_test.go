@@ -119,10 +119,6 @@ func TestMhCodecRoundTrip(t *testing.T) {
 			t.Fatalf("%s: frame round trip: %v\n got %+v\nwant %+v", name, err, f.Msg, m)
 		}
 	}
-	withFees := &MhLock{Path: mhPath(3), Fees: []chain.Amount{0, 7, 0}}
-	if withFees.WireSize() <= (&MhLock{Path: mhPath(3)}).WireSize() {
-		t.Fatal("MhLock.WireSize must grow with Fees")
-	}
 }
 
 // TestMhCodecRejectsMalformed: every strict prefix of every encoding,

@@ -4,9 +4,13 @@
 //
 // Messages travel between enclaves either as Go values over the
 // discrete-event simulator or framed over TCP (frame.go: binary payloads
-// for per-payment messages, gob for the rest); WireSize reports the
-// realistic on-the-wire size either way, so bandwidth modelling does not
-// depend on the transport in use.
+// for per-payment messages, gob for the rest). Only the enclave-protocol
+// messages in this file carry a WireSize: it is the realistic
+// on-the-wire size the simulator charges to its network
+// (core.Envelope.WireSize), so the bandwidth model of §7 does not depend
+// on the transport in use. The host-level frames (Hello, gossip) and the
+// control-plane messages internal/api registers never cross the
+// simulated network, so they have no size.
 package wire
 
 import (
@@ -22,12 +26,11 @@ type ChannelID string
 // PaymentID identifies a multi-hop payment in flight.
 type PaymentID string
 
-// Message is implemented by every protocol message.
-type Message interface {
-	// WireSize returns the encoded size in bytes, used for bandwidth
-	// modelling.
-	WireSize() int
-}
+// Message is any message in the frame registry (frame.go). The
+// enclave-protocol messages also implement WireSize() int, the encoded
+// size in bytes the simulator charges for bandwidth; nothing else needs
+// one.
+type Message interface{}
 
 const (
 	sigSize    = 64

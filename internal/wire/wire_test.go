@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"reflect"
 	"testing"
 
 	"teechain/internal/chain"
@@ -53,10 +54,41 @@ func allMessages(t *testing.T) []Message {
 	}
 }
 
+type sized interface{ WireSize() int }
+
+// TestWireSizesPositive: every enclave-protocol message in the registry
+// has a positive size, zero-valued and as sampled, so a new enclave
+// message cannot reach the simulated network (core.Envelope.WireSize)
+// unsized. The host-level frames never cross it and carry none.
 func TestWireSizesPositive(t *testing.T) {
+	hostFrames := map[reflect.Type]bool{
+		reflect.TypeOf(Hello{}):         true,
+		reflect.TypeOf(ChanAnnounce{}):  true,
+		reflect.TypeOf(GossipSummary{}): true,
+	}
+	for code := 1; code < len(typeByCode); code++ {
+		if typeByCode[code] == nil {
+			continue
+		}
+		m, err := NewByCode(byte(code))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, ok := m.(sized)
+		switch {
+		case hostFrames[typeByCode[code]]:
+			if ok {
+				t.Errorf("host-level frame %T has a wire size", m)
+			}
+		case !ok:
+			t.Errorf("enclave message %T (code %d) has no wire size", m, code)
+		case s.WireSize() <= 0:
+			t.Errorf("%T has non-positive wire size %d", m, s.WireSize())
+		}
+	}
 	for _, m := range allMessages(t) {
-		if m.WireSize() <= 0 {
-			t.Errorf("%T has non-positive wire size %d", m, m.WireSize())
+		if n := m.(sized).WireSize(); n <= 0 {
+			t.Errorf("%T has non-positive wire size %d", m, n)
 		}
 	}
 }
@@ -71,6 +103,10 @@ func TestSizeGrowsWithPayload(t *testing.T) {
 	longPath := &MhLock{Path: make([]PathHop, 12)}
 	if longPath.WireSize() <= shortPath.WireSize() {
 		t.Fatal("path length not reflected in size")
+	}
+	withFees := &MhLock{Path: make([]PathHop, 3), Fees: []chain.Amount{0, 7, 0}}
+	if withFees.WireSize() <= (&MhLock{Path: make([]PathHop, 3)}).WireSize() {
+		t.Fatal("fee schedule not reflected in size")
 	}
 }
 

@@ -67,8 +67,11 @@ const (
 
 // NodeOptions configures a node.
 type NodeOptions struct {
-	// StableStorage enables sealed, monotonic-counter-protected
-	// persistence (crash fault tolerance without committees, §6.2).
+	// StableStorage simulates the §6.2 crash-fault persistence mode
+	// (crash fault tolerance without committees): every state change
+	// pays one monotonic counter increment. The simulator models its
+	// cost only; the socket node's write-ahead log (teechain-node
+	// -data) is the mode's implementation.
 	StableStorage bool
 	// AllowOutsource permits one TEE-less client to drive this node's
 	// enclave remotely (§3).
@@ -104,11 +107,11 @@ func (n *Network) AddNode(name string, site Site, opts NodeOptions) (*Node, erro
 	return n.d.AddNode(name, site, core.NodeConfig{
 		Enclave: core.Config{
 			MinConfirmations: opts.MinConfirmations,
-			StableStorage:    opts.StableStorage,
 			AllowOutsource:   opts.AllowOutsource,
 		},
-		BatchWindow: opts.BatchWindow,
-		MaxRetries:  opts.MaxRetries,
+		StableStorage: opts.StableStorage,
+		BatchWindow:   opts.BatchWindow,
+		MaxRetries:    opts.MaxRetries,
 	})
 }
 
