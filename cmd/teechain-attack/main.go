@@ -1,11 +1,5 @@
-// teechain-attack is the adversary driver. It started life as a demo
-// of the transaction-delay attack of §2.2 (the `delay` subcommand,
-// still the default) and has grown into a byzantine toolkit over
-// internal/attack:
+// teechain-attack is a byzantine toolkit over internal/attack:
 //
-//	teechain-attack delay  [-tau N] [-delay N]
-//	    Lightning theft via transaction delay vs. Teechain's
-//	    asynchronous settlement (the original demo).
 //	teechain-attack proxy  -listen addr -upstream addr
 //	                       [-corrupt code] [-withhold code] [-replay code]
 //	    Frame-aware MITM: point a victim's dial at -listen and watch
@@ -14,6 +8,9 @@
 //	teechain-attack forge  -target addr [-channel id] [-amount n]
 //	    Dial a host's peer port and inject forged payment frames from
 //	    an unattested identity with an unauthenticatable token.
+//
+// The transaction-delay attack of §2.2 (Lightning theft versus
+// Teechain's asynchronous settlement) is `go run ./examples/async-attack`.
 //
 // Every attack here is expected to FAIL against a healthy deployment —
 // rejected frames, not moved money. A run that steals funds is a bug
@@ -28,27 +25,30 @@ import (
 	"os/signal"
 	"sync/atomic"
 
-	"teechain"
 	"teechain/internal/attack"
 	"teechain/internal/chain"
-	"teechain/internal/lightning"
 	"teechain/internal/wire"
 )
 
+const usage = `usage:
+  teechain-attack proxy -listen addr -upstream addr [-corrupt code] [-withhold code] [-replay code]
+  teechain-attack forge -target addr [-channel id] [-amount n]
+`
+
 func main() {
 	log.SetFlags(0)
-	args := os.Args[1:]
-	cmd := "delay"
-	if len(args) > 0 && (args[0] == "delay" || args[0] == "proxy" || args[0] == "forge") {
-		cmd, args = args[0], args[1:]
+	if len(os.Args) < 2 {
+		fmt.Fprint(os.Stderr, usage)
+		os.Exit(2)
 	}
-	switch cmd {
-	case "delay":
-		delayCmd(args)
+	switch cmd, args := os.Args[1], os.Args[2:]; cmd {
 	case "proxy":
 		proxyCmd(args)
 	case "forge":
 		forgeCmd(args)
+	default:
+		fmt.Fprint(os.Stderr, usage)
+		os.Exit(2)
 	}
 }
 
@@ -114,96 +114,4 @@ func forgeCmd(args []string) {
 	}
 	fmt.Printf("sent %d forged frame(s); peer closed: %v\n", rep.FramesSent, rep.PeerClosed)
 	fmt.Println("check the victim's stats: the frames must show up as rejected, not as payments")
-}
-
-func delayCmd(args []string) {
-	fs := flag.NewFlagSet("delay", flag.ExitOnError)
-	tau := fs.Uint64("tau", 6, "Lightning dispute window in blocks")
-	delay := fs.Uint64("delay", 8, "blocks the attacker can delay the victim's transactions")
-	fs.Parse(args)
-
-	fmt.Printf("adversary capability: delay victim transactions for %d blocks\n", *delay)
-	fmt.Printf("Lightning dispute window τ = %d blocks\n\n", *tau)
-
-	stolen := lightningRun(*tau, *delay)
-	if stolen {
-		fmt.Printf("Lightning: attacker STOLE the victim's funds (delay %d > τ %d)\n", *delay, *tau)
-	} else {
-		fmt.Printf("Lightning: theft failed (delay %d <= τ %d) — but the victim's funds were locked behind a τ-block window\n", *delay, *tau)
-	}
-
-	teechainRun(*delay)
-	fmt.Println("Teechain: settlement delayed but funds never at risk — no synchrony window exists")
-}
-
-func lightningRun(tau, delay uint64) bool {
-	c := chain.New()
-	attacker, err := lightning.NewParty("attacker")
-	if err != nil {
-		log.Fatal(err)
-	}
-	victim, err := lightning.NewParty("victim")
-	if err != nil {
-		log.Fatal(err)
-	}
-	utxo, err := c.FundKey(attacker.PayoutKey(), 1000)
-	if err != nil {
-		log.Fatal(err)
-	}
-	ch, err := lightning.OpenChannel(c, attacker, victim, utxo, 1000, tau)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for !ch.WaitOpen() {
-		c.MineBlock()
-	}
-	if err := ch.Pay(900); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := ch.BroadcastCommitment(0, true); err != nil {
-		log.Fatal(err)
-	}
-	c.MineBlock()
-	j, err := ch.Justice(0, true)
-	if err != nil {
-		log.Fatal(err)
-	}
-	jid, _ := c.Submit(j)
-	c.Censor(jid, c.Height()+delay)
-	c.MineBlocks(int(tau))
-	if sweep, err := ch.Sweep(0, true); err == nil {
-		if _, err := c.Submit(sweep); err != nil {
-			log.Fatal(err)
-		}
-	}
-	c.MineBlocks(int(delay) + 2)
-	return c.BalanceByAddress(victim.PayoutAddress()) == 0
-}
-
-func teechainRun(delay uint64) {
-	net, err := teechain.NewNetwork()
-	if err != nil {
-		log.Fatal(err)
-	}
-	attacker, _ := net.AddNode("attacker", teechain.SiteUK, teechain.NodeOptions{})
-	victim, _ := net.AddNode("victim", teechain.SiteUS, teechain.NodeOptions{})
-	ch, err := net.OpenChannel(attacker, victim, 1000, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := attacker.Pay(ch, 900, nil); err != nil {
-		log.Fatal(err)
-	}
-	net.Run()
-	sr, err := victim.Settle(ch)
-	if err != nil {
-		log.Fatal(err)
-	}
-	net.Run()
-	net.Chain().Censor(sr.Txs[0].ID(), net.Chain().Height()+delay)
-	net.MineBlocks(int(delay) + 2)
-	net.Run()
-	if net.OnChainBalance(victim) != 900 {
-		log.Fatalf("teechain victim recovered %d, want 900", net.OnChainBalance(victim))
-	}
 }

@@ -53,9 +53,8 @@ func (e *Enclave) FormCommittee(members []cryptoutil.PublicKey, m int) (*Result,
 		log := e.wal.log
 		log.notify = bothNotify(log.notify, e.replNotify)
 		// Pre-formation ops ride the ReplAttach snapshot, not the
-		// replication stream — and a durable log is always pipelined,
-		// so appends never advanced flushSeq. Jump the replication
-		// cursors to the committed frontier.
+		// replication stream, and appends never advance flushSeq. Jump
+		// the replication cursors to the committed frontier.
 		log.mu.Lock()
 		log.flushSeq = log.nextSeq
 		log.ackSeq = log.nextSeq
@@ -63,9 +62,7 @@ func (e *Enclave) FormCommittee(members []cryptoutil.PublicKey, m int) (*Result,
 		log.mu.Unlock()
 		e.repl.log = log
 	} else {
-		// A concurrent host (EnableConcurrentHost) gets the chain's log
-		// in pipelined mode; the simulator's gets immediate mode.
-		e.repl.log = &replLog{pipelined: e.replPipelined, notify: e.replNotify}
+		e.repl.log = &replLog{notify: e.replNotify}
 	}
 	if len(members) == 0 {
 		e.repl.ready = true

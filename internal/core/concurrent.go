@@ -51,14 +51,13 @@ import (
 // for the enclave's lifetime:
 //
 //   - the hot-path pools become mutex-guarded;
-//   - any committee chain this enclave forms (or restores) delivers in
-//     pipelined mode (repl.go), so replicated lane commits append their
-//     ops and withheld effects behind the log's own mutex instead of
-//     emitting a synchronous ReplUpdate that belongs under the wide
-//     lock; replNotify, when set, wakes the host's replication flusher
-//     after an append. The durable log (EnableDurable) is pipelined the
-//     same way, and serving as a committee BACKUP never touches lanes:
-//     mirrors only see replication frames, which are wide-path messages;
+//   - replNotify, when set, wakes the host's replication flusher after
+//     every append to the log of a committee chain this enclave forms
+//     (or restores). Replicated lane commits append their ops and
+//     withheld effects behind the log's own mutex (repl.go), so they
+//     never need the wide lock; serving as a committee BACKUP never
+//     touches lanes either: mirrors only see replication frames, which
+//     are wide-path messages;
 //   - a Config that allows outsourcing is refused: its command relay
 //     funnels payment commits through shared state, so such an enclave
 //     belongs on a single-threaded host (the simulator's Node).
@@ -70,7 +69,6 @@ func (e *Enclave) EnableConcurrentHost(replNotify func()) error {
 		return errors.New("core: AllowOutsource serializes payments through shared state; a concurrent host cannot run it")
 	}
 	e.pools.setShared()
-	e.replPipelined = true
 	e.replNotify = replNotify
 	return nil
 }

@@ -65,12 +65,12 @@ type walState struct {
 }
 
 // EnableDurable switches this enclave into durable (WAL) mode: commits
-// append to a pipelined log whose effects release only after the host's
+// append to a log whose effects release only after the host's
 // WAL flusher (woken by notify) reports them fsynced via WalSynced.
 // Must be called under the host's wide lock before any commit, and
 // before FormCommittee (which adopts the WAL log for replication).
 func (e *Enclave) EnableDurable(notify func()) {
-	e.wal = &walState{log: &replLog{pipelined: true, durable: true, notify: notify}}
+	e.wal = &walState{log: &replLog{durable: true, notify: notify}}
 }
 
 // Durable reports whether the enclave runs in durable (WAL) mode.
@@ -319,7 +319,7 @@ func (e *Enclave) RestoreDurable(blob []byte, notify func()) (uint64, error) {
 		}
 		e.btcKeys[addr] = kp
 	}
-	l := &replLog{pipelined: true, durable: true, notify: notify}
+	l := &replLog{durable: true, notify: notify}
 	l.nextSeq, l.flushSeq, l.ackSeq = img.Seq, img.Seq, img.Seq
 	l.walSeq, l.syncSeq, l.relSeq = img.Seq, img.Seq, img.Seq
 	e.wal = &walState{log: l, gen: e.platform.ReadCounter(e.counterName)}

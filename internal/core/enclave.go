@@ -65,10 +65,10 @@ type replPrimary struct {
 
 	// log is the replication pipeline: sequence assignment, the window
 	// of committed-but-unacknowledged entries with their withheld
-	// effects, and the pipelined-delivery queue. Its own lock domain —
-	// see repl.go. A pointer so a durable enclave's pre-existing WAL log
-	// can be adopted wholesale on committee formation, keeping one
-	// sequence space for both cursors.
+	// effects, and the flush and retransmit cursors. Its own lock
+	// domain — see repl.go. A pointer so a durable enclave's
+	// pre-existing WAL log can be adopted wholesale on committee
+	// formation, keeping one sequence space for both cursors.
 	log *replLog
 }
 
@@ -162,10 +162,9 @@ type Enclave struct {
 	// State.lastCh: concurrent payment lanes of a socket host share it.
 	lastSess atomic.Pointer[peerSession]
 
-	// replPipelined/replNotify record an EnableConcurrentHost call;
-	// FormCommittee and RestoreDurable copy them into the chain's log.
-	replPipelined bool
-	replNotify    func()
+	// replNotify records an EnableConcurrentHost call; FormCommittee
+	// and RestoreDurable copy it into the chain's log.
+	replNotify func()
 
 	// Outsourcing (§3): the provisioned TEE-less user and the pending
 	// command sequence numbers per channel awaiting acknowledgements.
@@ -483,9 +482,8 @@ func (e *Enclave) commitLog() *replLog {
 // commit optimistically applies op and defers its externally visible
 // effects until the replication chain acknowledges and/or the WAL
 // flusher fsyncs. Without backups or a WAL the effects release
-// immediately. In immediate mode (the simulator) the sequenced update
-// is emitted synchronously; in pipelined mode (socket hosts) it only
-// joins the log and the host's flusher(s) drain it in batches.
+// immediately. The sequenced update only joins the log; the host drains
+// it with ReplNextFlush (and the WAL flusher with its own cursor).
 func (e *Enclave) commit(op *Op, out []Outbound, events []Event) (*Result, error) {
 	if e.repl != nil || e.wal != nil {
 		return e.commitRepl(op, out, events)
@@ -500,10 +498,9 @@ func (e *Enclave) commit(op *Op, out []Outbound, events []Event) (*Result, error
 // bound is checked BEFORE the state transition so a rejected commit
 // leaves primary state and the log consistent.
 func (e *Enclave) commitRepl(op *Op, out []Outbound, events []Event) (*Result, error) {
-	var backup cryptoutil.PublicKey
 	var replicated bool
 	if e.repl != nil {
-		backup, replicated = e.repl.backup()
+		_, replicated = e.repl.backup()
 	}
 	durable := e.wal != nil
 	l := e.commitLog()
@@ -523,13 +520,8 @@ func (e *Enclave) commitRepl(op *Op, out []Outbound, events []Event) (*Result, e
 	ent.out = append(ent.out[:0], out...)
 	ent.events = append(ent.events[:0], events...)
 	ent.tauPending = replicated && op.Kind == OpMhStage && op.Stage == MhSign && op.Tau != nil
-	seq, immediate := l.append(ent)
-	if !immediate {
-		return &Result{}, nil
-	}
-	ru := e.pools.getReplUpdateMsg()
-	ru.Chain, ru.Seq, ru.Op = e.repl.chainID, seq, op
-	return &Result{Out: oneOut(backup, ru)}, nil
+	l.append(ent)
+	return &Result{}, nil
 }
 
 // commitFast is commit for the payment hot path: the caller has already
@@ -556,10 +548,9 @@ func (e *Enclave) commitFast(op *Op, res *Result) (*Result, error) {
 // commitFastRepl is the replicated/durable tail of commitFast; see
 // commitRepl for the backlog-before-Apply ordering.
 func (e *Enclave) commitFastRepl(op *Op, res *Result) (*Result, error) {
-	var backup cryptoutil.PublicKey
 	var replicated bool
 	if e.repl != nil {
-		backup, replicated = e.repl.backup()
+		_, replicated = e.repl.backup()
 	}
 	durable := e.wal != nil
 	l := e.commitLog()
@@ -590,15 +581,8 @@ func (e *Enclave) commitFastRepl(op *Op, res *Result) (*Result, error) {
 	ent.pay = res.pay
 	ent.tauPending = replicated && op.Kind == OpMhStage && op.Stage == MhSign && op.Tau != nil
 	e.pools.putResult(res)
-	seq, immediate := l.append(ent)
-	if !immediate {
-		return nil, nil
-	}
-	ru := e.pools.getReplUpdateMsg()
-	ru.Chain, ru.Seq, ru.Op = e.repl.chainID, seq, op
-	r := e.pools.getResult()
-	r.Out = append(r.Out, Outbound{To: backup, Msg: ru})
-	return r, nil
+	l.append(ent)
+	return nil, nil
 }
 
 func (e *Enclave) handleReplUpdate(from cryptoutil.PublicKey, m *wire.ReplUpdate) (*Result, error) {
@@ -629,7 +613,11 @@ func (e *Enclave) handleReplUpdate(from cryptoutil.PublicKey, m *wire.ReplUpdate
 			// the per-sequence ack with the cached τ signatures plus a
 			// fresh cumulative ack for everything applied since (tail).
 			if hasNext {
-				return &Result{Out: oneOut(next, m)}, nil
+				// Relay a copy: the inbound message recycles with its
+				// envelope.
+				ru := e.pools.getReplUpdateMsg()
+				*ru = *m
+				return &Result{Out: oneOut(next, ru)}, nil
 			}
 			res := &Result{Out: oneOut(b.prev(), &wire.ReplAck{
 				Chain: m.Chain, Seq: m.Seq, TauSigs: b.pendingSigs[m.Seq],
@@ -734,11 +722,11 @@ func (e *Enclave) handleReplAck(from cryptoutil.PublicKey, m *wire.ReplAck) (*Re
 		}
 	}
 	// Release through the shared path so a durable log additionally
-	// waits for the WAL fsync cursor. In the non-durable immediate mode
-	// this releases exactly the acknowledged entry, preserving the
-	// seed's per-update behavior bit for bit. With the signatures
-	// folded, the entry no longer clamps the cumulative cursor — resume
-	// it toward any batch ack that ran ahead while this ack was lost.
+	// waits for the WAL fsync cursor. On the simulator's per-update
+	// chain this releases exactly the acknowledged entry. With the
+	// signatures folded, the entry no longer clamps the cumulative
+	// cursor — resume it toward any batch ack that ran ahead while this
+	// ack was lost.
 	l.mu.Lock()
 	ent.tauPending = false
 	l.ackSeq++

@@ -304,14 +304,20 @@ func (n *Node) messageCost(payload any) (time.Duration, time.Duration) {
 // channels).
 func (n *Node) Dispatch(res *Result) { n.dispatch(res) }
 
-// dispatch sends an enclave result's outbound messages and surfaces its
-// events. Pooled results recycle once consumed.
+// dispatch sends an enclave result's outbound messages, drains the
+// replication log behind them and surfaces the result's events. Pooled
+// results recycle once consumed.
 func (n *Node) dispatch(res *Result) {
+	if res != nil {
+		for i := range res.Out {
+			if !n.send(res.Out[i]) {
+				n.pools.recycleMsg(res.Out[i].Msg)
+			}
+		}
+	}
+	n.flushRepl()
 	if res == nil {
 		return
-	}
-	for i := range res.Out {
-		n.send(res.Out[i])
 	}
 	if res.pay.kind != PayNone {
 		n.handlePayEvent(res.pay)
@@ -361,11 +367,34 @@ func (n *Node) route(to cryptoutil.PublicKey) *peerRoute {
 	return pr
 }
 
-func (n *Node) send(out Outbound) {
+// flushRepl hands every flushable op of the enclave's replication log
+// to the network, each as its own per-sequence ReplUpdate (no batch: a
+// backup acknowledges and releases one update at a time, the chain
+// Table 1's committee rows are calibrated on). Retransmissions a
+// mirror's NACK scheduled go first. A frame the network refuses is
+// rewound and re-offered by the next dispatch.
+func (n *Node) flushRepl() {
+	for {
+		to, msg, k := n.enclave.ReplNextFlush(nil, 1, replMaxPending)
+		if k == 0 {
+			return
+		}
+		if !n.send(Outbound{To: to, Msg: msg}) {
+			n.enclave.ReplRewind(msg, k)
+			n.pools.recycleMsg(msg)
+			return
+		}
+	}
+}
+
+// send seals out and hands it to the network. It reports false when
+// the message never left — no route, no session or a partitioned link —
+// and the message is then still the caller's.
+func (n *Node) send(out Outbound) bool {
 	pr := n.route(out.To)
 	if pr == nil {
 		n.logf("no route to identity %s", out.To)
-		return
+		return false
 	}
 	env := n.pools.getEnvelope()
 	env.From = n.enclave.Identity()
@@ -378,8 +407,9 @@ func (n *Node) send(out Outbound) {
 			sess = n.enclave.establishedSession(out.To)
 			if sess == nil {
 				n.logf("sealing token for %s: no established session", out.To)
+				env.Msg = nil
 				n.pools.putEnvelope(env)
-				return
+				return false
 			}
 			pr.sess = sess
 		}
@@ -390,8 +420,11 @@ func (n *Node) send(out Outbound) {
 		// is still exclusively ours to recycle — a partition retry
 		// storm stays allocation-free.
 		n.logf("send to %s: %v", pr.ep.ID(), err)
+		env.Msg = nil
 		n.pools.putEnvelope(env)
+		return false
 	}
+	return true
 }
 
 func (n *Node) handleNetMessage(from netsim.NodeID, payload any) {

@@ -153,6 +153,14 @@ func (e *Enclave) RecycleResult(r *Result) {
 	p.unlock()
 }
 
+// recycleMsg returns a message that never left its host to its
+// freelist.
+func (p *hotPools) recycleMsg(msg wire.Message) {
+	p.lock()
+	p.recycleMsgLocked(msg)
+	p.unlock()
+}
+
 // recycleMsgLocked returns a poolable wire message to its freelist;
 // non-poolable messages pass through untouched.
 func (p *hotPools) recycleMsgLocked(msg wire.Message) {
@@ -247,8 +255,8 @@ func (p *hotPools) getPayBatchAckMsg() *wire.PayBatchAck {
 	return m
 }
 
-// getReplUpdateMsg returns a zeroed ReplUpdate for the replication
-// emit path (immediate mode and solo pipelined flushes).
+// getReplUpdateMsg returns a zeroed ReplUpdate for solo flushes
+// (ReplNextFlush) and mirror relays.
 func (p *hotPools) getReplUpdateMsg() *wire.ReplUpdate {
 	p.lock()
 	var m *wire.ReplUpdate

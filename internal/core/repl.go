@@ -12,18 +12,16 @@
 // and ops on different channels commute, so backups that apply in log
 // order converge to the primary's state.
 //
-// Two delivery modes share the log:
-//
-//   - immediate (the default; the simulator's mode): every commit emits
-//     one ReplUpdate frame synchronously and every backup ack releases
-//     exactly one entry, preserving the seed's per-update wire behavior
-//     bit for bit (harness determinism tests pin this);
-//   - pipelined (socket hosts, via EnableConcurrentHost): commits
-//     only append; a host-side flusher drains the log into ReplBatch
-//     frames (payment ops) and solo ReplUpdate frames (everything
-//     else), pipelining batches down the chain without waiting, bounded
-//     by an in-flight window; the tail acknowledges cumulatively and
-//     one ReplBatchAck releases a whole run of withheld effects.
+// Commits only append to this one log, and each host drains it with
+// ReplNextFlush in its own frame size. A socket host's flusher packs
+// runs of payment ops into ReplBatch frames (everything else flushes as
+// solo ReplUpdate frames), pipelining batches down the chain without
+// waiting, bounded by an in-flight window; the tail acknowledges
+// cumulatively and one ReplBatchAck releases a whole run of withheld
+// effects. The simulator's Node drains after every dispatch without a
+// batch, so each op leaves as its own per-sequence ReplUpdate and each
+// backup ack releases exactly one entry (the per-update chain of §6
+// that the harness determinism tests pin).
 //
 // Entries are pooled and recycled on release, so a replicated payment
 // commit allocates nothing in steady state.
@@ -74,22 +72,19 @@ type replEntry struct {
 // ack ordering for both replication and stable storage. All fields are
 // guarded by mu except backlog (atomic, read before Apply so an
 // over-full log rejects commits without taking the lock) and
-// pipelined/notify/durable (written once under the wide lock before any
+// notify/durable (written once under the wide lock before any
 // concurrent commit exists).
 type replLog struct {
 	mu sync.Mutex
 
-	// pipelined switches commits from emit-per-op to append-for-flush.
-	pipelined bool
 	// notify, when set, wakes the host's flusher(s) after an append.
 	// Called outside mu; must not block.
 	notify func()
-	// durable gates releases on the WAL fsync cursor (syncSeq). A
-	// durable log is always pipelined.
+	// durable gates releases on the WAL fsync cursor (syncSeq).
 	durable bool
 
 	nextSeq  uint64 // last committed sequence number
-	flushSeq uint64 // last sequence handed to the transport (== nextSeq when immediate)
+	flushSeq uint64 // last sequence handed to the transport
 	ackSeq   uint64 // last sequence cumulatively acknowledged by the chain
 	walSeq   uint64 // last sequence handed to the WAL flusher
 	syncSeq  uint64 // last sequence fsynced to the WAL
@@ -156,24 +151,17 @@ func (l *replLog) admit() error {
 }
 
 // append assigns the next sequence number to a pooled entry built by
-// the caller and enqueues it. Returns the sequence and, in immediate
-// mode, true to tell the caller to emit the ReplUpdate itself.
-func (l *replLog) append(ent *replEntry) (seq uint64, immediate bool) {
+// the caller and enqueues it for the host to drain.
+func (l *replLog) append(ent *replEntry) {
 	l.mu.Lock()
 	l.nextSeq++
-	seq = l.nextSeq
-	ent.seq = seq
+	ent.seq = l.nextSeq
 	l.entries = append(l.entries, ent)
-	if !l.pipelined {
-		l.flushSeq = l.nextSeq
-	}
 	l.backlog.Add(1)
-	notify := l.pipelined && l.notify != nil
 	l.mu.Unlock()
-	if notify {
+	if l.notify != nil {
 		l.notify()
 	}
-	return seq, !l.pipelined
 }
 
 // entryAt returns the queued entry for seq, or nil. Caller holds mu.
@@ -365,11 +353,12 @@ func replOpKind(k uint8) (OpKind, bool) {
 	return 0, false
 }
 
-// ReplNextFlush hands the host's replication flusher its next frame: a
-// run of consecutive payment ops packed into batch (reused across
-// calls), or a solo *wire.ReplUpdate for ops that cannot batch
-// (multi-hop stages need per-sequence τ-signature piggybacking).
-// Returns n == 0 when nothing is flushable — the log is drained, or
+// ReplNextFlush hands the host its next replication frame: a run of
+// consecutive payment ops packed into batch (reused across calls), or a
+// solo *wire.ReplUpdate for ops that cannot batch (multi-hop stages
+// need per-sequence τ-signature piggybacking). With a nil batch every
+// op leaves solo — the simulator's per-update chain. Returns n == 0
+// when nothing is flushable — the log is drained, or
 // flushed-but-unacknowledged ops already fill maxWindow (the pipelining
 // backpressure bound). A scheduled retransmission (ReplNack or
 // ReplRetransmitStart) is served first, Retx-flagged, from the retained
@@ -387,9 +376,6 @@ func (e *Enclave) ReplNextFlush(batch *wire.ReplBatch, maxOps, maxWindow int) (t
 	l := e.repl.log
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.pipelined {
-		return to, nil, 0
-	}
 	if maxOps > wire.MaxReplBatch {
 		maxOps = wire.MaxReplBatch
 	}
@@ -401,51 +387,29 @@ func (e *Enclave) ReplNextFlush(batch *wire.ReplBatch, maxOps, maxWindow int) (t
 	if l.retxEnd > l.flushSeq {
 		l.retxEnd = l.flushSeq
 	}
+	cursor, end, retx := &l.flushSeq, l.nextSeq, false
 	if l.retxSeq < l.retxEnd {
-		first := l.retxSeq + 1
-		ent := l.entryAtLocked(first)
-		if kind := replBatchKind(ent.op.Kind); kind == 0 {
-			l.retxSeq++
-			l.retxOps++
-			return backup, &wire.ReplUpdate{Chain: e.repl.chainID, Seq: first, Op: ent.op, Retx: true}, 1
-		}
-		batch.Chain = e.repl.chainID
-		batch.FirstSeq = first
-		batch.Retx = true
-		batch.Ops = batch.Ops[:0]
-		for len(batch.Ops) < maxOps && l.retxSeq < l.retxEnd {
-			ent := l.entryAtLocked(l.retxSeq + 1)
-			kind := replBatchKind(ent.op.Kind)
-			if kind == 0 {
-				break
-			}
-			batch.Ops = append(batch.Ops, wire.ReplBatchOp{
-				Kind:    kind,
-				Channel: ent.op.Channel,
-				Amount:  ent.op.Amount,
-				Count:   ent.op.Count,
-			})
-			l.retxSeq++
-			l.retxOps++
-		}
-		return backup, batch, len(batch.Ops)
-	}
-	if l.flushSeq >= l.nextSeq || int(l.flushSeq-l.ackSeq) >= maxWindow {
+		cursor, end, retx = &l.retxSeq, l.retxEnd, true
+	} else if l.flushSeq >= l.nextSeq || int(l.flushSeq-l.ackSeq) >= maxWindow {
 		return to, nil, 0
 	}
-	first := l.flushSeq + 1
+	first := *cursor + 1
 	ent := l.entryAtLocked(first)
-	if kind := replBatchKind(ent.op.Kind); kind == 0 {
-		// Solo flush: one cold op as a classic per-sequence update.
-		l.flushSeq++
-		return backup, &wire.ReplUpdate{Chain: e.repl.chainID, Seq: first, Op: ent.op}, 1
+	if batch == nil || replBatchKind(ent.op.Kind) == 0 {
+		*cursor++
+		if retx {
+			l.retxOps++
+		}
+		ru := e.pools.getReplUpdateMsg()
+		ru.Chain, ru.Seq, ru.Op, ru.Retx = e.repl.chainID, first, ent.op, retx
+		return backup, ru, 1
 	}
 	batch.Chain = e.repl.chainID
 	batch.FirstSeq = first
-	batch.Retx = false
+	batch.Retx = retx
 	batch.Ops = batch.Ops[:0]
-	for len(batch.Ops) < maxOps && l.flushSeq < l.nextSeq {
-		ent := l.entryAtLocked(l.flushSeq + 1)
+	for len(batch.Ops) < maxOps && *cursor < end {
+		ent := l.entryAtLocked(*cursor + 1)
 		kind := replBatchKind(ent.op.Kind)
 		if kind == 0 {
 			break // cold op: ends the run, flushes solo next call
@@ -456,7 +420,10 @@ func (e *Enclave) ReplNextFlush(batch *wire.ReplBatch, maxOps, maxWindow int) (t
 			Amount:  ent.op.Amount,
 			Count:   ent.op.Count,
 		})
-		l.flushSeq++
+		*cursor++
+	}
+	if retx {
+		l.retxOps += uint64(len(batch.Ops))
 	}
 	return backup, batch, len(batch.Ops)
 }
@@ -506,7 +473,7 @@ func (e *Enclave) ReplRetransmitStart() bool {
 	l := e.repl.log
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.pipelined || l.ackSeq >= l.flushSeq {
+	if l.ackSeq >= l.flushSeq {
 		return false
 	}
 	if l.retxSeq < l.ackSeq {

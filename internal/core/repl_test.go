@@ -1,6 +1,6 @@
 package core
 
-// Tests for the pipelined replication path (repl.go): enclaves wired
+// Tests for the batched replication path (repl.go): enclaves wired
 // directly (no simulator), with the test driving the flusher by hand so
 // batching, windowing, release ordering, and the hardening against
 // forged/replayed frames are all observable step by step.
@@ -182,8 +182,7 @@ func pipelinedPair(t *testing.T) (*directWorld, *Enclave, *Enclave, *Enclave, wi
 	w.connect(owner, m1)
 	w.connect(owner, bob)
 
-	// What a socket host does at construction: from here on every chain
-	// this enclave forms is pipelined.
+	// What a socket host does at construction: the pools become shared.
 	if err := owner.EnableConcurrentHost(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -193,12 +192,9 @@ func pipelinedPair(t *testing.T) (*directWorld, *Enclave, *Enclave, *Enclave, wi
 	if !owner.CommitteeReady() {
 		t.Fatal("committee never became ready")
 	}
-	if !owner.repl.log.pipelined {
-		t.Fatal("a concurrent host's chain is not pipelined")
-	}
 
 	// Fund a channel owner->bob through the full approval dance; every
-	// owner-side commit rides the pipelined log.
+	// owner-side commit rides the log.
 	id := wire.ChannelID("ch-repl")
 	res, err = owner.OpenChannel(id, bob.Identity(), owner.cfg.PayoutKey.Address(), false)
 	w.dispatch(owner, res, err)

@@ -6,6 +6,7 @@ import (
 
 	"teechain/internal/chain"
 	"teechain/internal/cryptoutil"
+	"teechain/internal/wire"
 )
 
 // committeeWorld builds an owner with two committee members (a 3-member
@@ -254,7 +255,11 @@ func TestFreezeStopsFurtherPayments(t *testing.T) {
 	}
 }
 
-func TestStableStorageLatencyAndRollback(t *testing.T) {
+// TestStableStorageLatency: the simulator's stable storage is a cost
+// model (a monotonic-counter increment per state change) and seals
+// nothing, so rollback refusal is tested on the WAL instead
+// (transport.TestDurableRollbackRefused).
+func TestStableStorageLatency(t *testing.T) {
 	w := newWorld(t)
 	a := w.node("alice", NodeConfig{StableStorage: true, Enclave: Config{MinConfirmations: 1}})
 	b := w.node("bob", NodeConfig{StableStorage: true, Enclave: Config{MinConfirmations: 1}})
@@ -262,16 +267,150 @@ func TestStableStorageLatencyAndRollback(t *testing.T) {
 	id := w.openChannel(a, b)
 	w.fundAndAssociate(a, b, id, 1000)
 
-	start := w.sim.Now()
 	var lat time.Duration
 	if err := a.Pay(id, 10, func(ok bool, l time.Duration, _ string) { lat = l }); err != nil {
 		t.Fatal(err)
 	}
 	w.run()
-	_ = start
 	// Each state-changing message costs a 100ms counter increment on
 	// top of the 10ms RTT: expect > 200ms.
 	if lat < 200*time.Millisecond {
 		t.Fatalf("stable-storage payment latency %v, want >= 200ms", lat)
+	}
+}
+
+// TestPartitionedUpdateReachesChainAfterHeal: a replication update the
+// network refuses (owner and first member partitioned) is not lost. The
+// owner's log keeps it, so the next dispatch after the heal serves it
+// ahead of the next payment's update, and both payments complete with
+// every mirror agreeing.
+func TestPartitionedUpdateReachesChainAfterHeal(t *testing.T) {
+	w, owner, r1, r2, bob := committeeWorld(t, 2)
+	id := w.openChannel(owner, bob)
+	w.fundAndAssociate(owner, bob, id, 1000)
+
+	w.net.SetPartitioned(owner.ID, r1.ID, true)
+	if err := owner.Pay(id, 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.net.SetPartitioned(owner.ID, r1.ID, false)
+	if err := owner.Pay(id, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.run()
+
+	expectBothPaid(t, owner, r1, r2, bob, id)
+	if st, _ := owner.Enclave().ReplStats(); st.NacksIn != 0 || st.Retransmits != 0 {
+		t.Fatalf("the refused update was lost, not rewound: %+v", st)
+	}
+}
+
+// TestLostUpdateIsRetransmittedOnNack: an update lost after it left
+// the owner leaves a gap at the first member, which NACKs it; the
+// owner's next dispatch serves the retransmission from its log.
+func TestLostUpdateIsRetransmittedOnNack(t *testing.T) {
+	w, owner, r1, r2, bob := committeeWorld(t, 2)
+	id := w.openChannel(owner, bob)
+	w.fundAndAssociate(owner, bob, id, 1000)
+
+	// The refused update is rewound; taking it off the log again
+	// without sending it loses it.
+	w.net.SetPartitioned(owner.ID, r1.ID, true)
+	if err := owner.Pay(id, 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, n := owner.Enclave().ReplNextFlush(nil, 1, replMaxPending); n != 1 {
+		t.Fatalf("lost %d updates, want 1", n)
+	}
+	w.net.SetPartitioned(owner.ID, r1.ID, false)
+	if err := owner.Pay(id, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.run()
+
+	expectBothPaid(t, owner, r1, r2, bob, id)
+	if st, _ := owner.Enclave().ReplStats(); st.NacksIn == 0 || st.Retransmits == 0 {
+		t.Fatalf("the gap healed without a NACK and a retransmission: %+v", st)
+	}
+}
+
+// TestMiddleMemberRelaysRetransmission: an update the first member
+// applied but could not relay leaves a gap at the tail only. The
+// owner's retransmission reaches the first member as a duplicate, which
+// it relays on to the tail; both payments complete.
+func TestMiddleMemberRelaysRetransmission(t *testing.T) {
+	w, owner, r1, r2, bob := committeeWorld(t, 2)
+	id := w.openChannel(owner, bob)
+	w.fundAndAssociate(owner, bob, id, 1000)
+
+	w.net.SetPartitioned(r1.ID, r2.ID, true)
+	if err := owner.Pay(id, 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.run()
+	w.net.SetPartitioned(r1.ID, r2.ID, false)
+	if err := owner.Pay(id, 20, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.run()
+
+	expectBothPaid(t, owner, r1, r2, bob, id)
+	if st, _ := owner.Enclave().ReplStats(); st.NacksIn == 0 {
+		t.Fatalf("the tail's gap healed without a NACK: %+v", st)
+	}
+}
+
+// expectBothPaid checks that the owner's payments of 10 and 20 to bob
+// completed and that both mirrors agree.
+func expectBothPaid(t *testing.T, owner, r1, r2, bob *Node, id wire.ChannelID) {
+	t.Helper()
+	if owner.PaymentsAcked != 2 {
+		t.Fatalf("acked %d of 2 payments", owner.PaymentsAcked)
+	}
+	if got := bob.Enclave().State().Channels[id].MyBal; got != 30 {
+		t.Fatalf("bob holds %d, want 30", got)
+	}
+	for _, member := range []*Node{r1, r2} {
+		mirror, _ := member.Enclave().MirrorState(owner.Enclave().ChainID())
+		if got := mirror.Channels[id].RemoteBal; got != 30 {
+			t.Fatalf("%s mirror credits bob %d, want 30", member.ID, got)
+		}
+	}
+}
+
+// TestFrozenOwnerSwallowsInFlightAck: an owner that freezes its own
+// chain while an update is in flight still receives the chain's ack
+// for it; the ack is swallowed, so the withheld payment never reaches
+// bob and the owner stays frozen.
+func TestFrozenOwnerSwallowsInFlightAck(t *testing.T) {
+	w, owner, r1, r2, bob := committeeWorld(t, 2)
+	id := w.openChannel(owner, bob)
+	w.fundAndAssociate(owner, bob, id, 1000)
+
+	if err := owner.Pay(id, 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	acksBefore, _ := w.net.LinkStats(r1.ID, owner.ID)
+	res, err := owner.Enclave().Freeze(owner.Enclave().ChainID(), "operator halt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner.Dispatch(res)
+	w.run()
+
+	if acks, _ := w.net.LinkStats(r1.ID, owner.ID); acks != acksBefore+1 {
+		t.Fatalf("%d frames reached the frozen owner, want the one ack", acks-acksBefore)
+	}
+	if mirror, _ := r2.Enclave().MirrorState(owner.Enclave().ChainID()); mirror.Channels[id].RemoteBal != 10 {
+		t.Fatal("the chain's tail never applied the in-flight update")
+	}
+	if !owner.Enclave().State().Frozen {
+		t.Fatal("the owner thawed")
+	}
+	if owner.PaymentsAcked != 0 {
+		t.Fatalf("a frozen owner released %d payments", owner.PaymentsAcked)
+	}
+	if got := bob.Enclave().State().Channels[id].MyBal; got != 0 {
+		t.Fatalf("bob holds %d, want 0", got)
 	}
 }

@@ -127,9 +127,8 @@ func awaitMirror(t *testing.T, c *Cluster, member, chainID string, chID wire.Cha
 }
 
 // TestClusterCommitteePayments runs replicated payments over real TCP:
-// the sender pays on its lanes (the chain NewHost yields is pipelined,
-// so the flusher's ReplBatch counters move and nothing takes another
-// path), the flusher batches the ops down the chain, mirrors converge
+// the sender pays on its lanes (the flusher's ReplBatch counters move
+// and nothing takes another path), the flusher batches the ops down the chain, mirrors converge
 // to the owner's balances, and settlement collects the 2-of-3 threshold
 // signatures from the members over the sockets.
 func TestClusterCommitteePayments(t *testing.T) {

@@ -53,7 +53,7 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 // times, hashing final balances, both mirrors, the acked count, summed
 // payment latencies, and the final virtual time. The value was recorded
 // BEFORE the replication log refactor (PR 4), so it pins the invariant
-// that refactor promised: the simulator's immediate-mode committee
+// that refactor promised: the simulator's per-update committee
 // chains — and with them RunFigure4/RunTable3's committee metrics —
 // stay bit-identical. Re-pinned for the durability PR: balances,
 // mirrors, and the acked count are unchanged (verified by hand:
@@ -125,7 +125,7 @@ func TestReplicatedDeploymentDigest(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", h.Sum(nil)[:16]); got != replicatedDeploymentDigest {
 		t.Fatalf("replicated deployment digest drifted:\n got  %s\n want %s\n"+
-			"(the simulator's immediate-mode replication behavior changed)", got, replicatedDeploymentDigest)
+			"(the simulator's per-update replication behavior changed)", got, replicatedDeploymentDigest)
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 
 	"teechain/internal/api"
 	"teechain/internal/chain"
-	"teechain/internal/tee"
 )
 
 func TestNextBackoffSchedule(t *testing.T) {
@@ -35,36 +34,9 @@ func TestNextBackoffSchedule(t *testing.T) {
 	if sleep, _ = nextBackoff(time.Second, max, 0.5, 0.999999); sleep < 500*time.Millisecond {
 		t.Fatalf("lower bound violated: sleep=%v < 500ms", sleep)
 	}
-	// Jitter 0 (normalized from a negative Config value) is deterministic
-	// regardless of the random sample.
+	// Jitter 0 is deterministic regardless of the random sample.
 	if sleep, _ = nextBackoff(time.Second, max, 0, 0.9); sleep != time.Second {
 		t.Fatalf("disabled jitter: sleep=%v, want 1s", sleep)
-	}
-}
-
-func TestRedialJitterNormalization(t *testing.T) {
-	auth, err := tee.NewAuthority("jitter-norm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc := NewLocalChain(chain.New())
-	cases := []struct {
-		in, want float64
-	}{
-		{0, defaultRedialJitter}, // unset → default
-		{-1, 0},                  // negative → disabled
-		{2, 1},                   // clamped
-		{0.25, 0.25},             // in range passes through
-	}
-	for _, tc := range cases {
-		h, err := NewHost(Config{Name: "n", Authority: auth, Chain: lc, RedialJitter: tc.in})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := h.cfg.RedialJitter; got != tc.want {
-			t.Errorf("RedialJitter %v normalized to %v, want %v", tc.in, got, tc.want)
-		}
-		h.Close()
 	}
 }
 

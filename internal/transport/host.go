@@ -75,12 +75,6 @@ type Config struct {
 	WalletSeed string
 	// MinConfirmations is the deposit approval policy (default 1).
 	MinConfirmations uint64
-	// RedialJitter spreads each backoff sleep uniformly over
-	// [(1-j)·d, d], so peers cut off by the same event (a partition
-	// healing, a hub restarting) do not redial in lockstep. 0 means the
-	// default (0.5); negative disables jitter, giving the deterministic
-	// schedule some tests rely on. Values above 1 are clamped to 1.
-	RedialJitter float64
 	// Dial, when set, replaces net.Dial("tcp", addr) for outbound peer
 	// connections. The fault-injection layer (internal/faultnet) hooks
 	// here; production hosts leave it nil.
@@ -350,14 +344,6 @@ func NewHost(cfg Config) (*Host, error) {
 	if cfg.MinConfirmations == 0 {
 		cfg.MinConfirmations = 1
 	}
-	switch {
-	case cfg.RedialJitter == 0:
-		cfg.RedialJitter = defaultRedialJitter
-	case cfg.RedialJitter < 0:
-		cfg.RedialJitter = 0
-	case cfg.RedialJitter > 1:
-		cfg.RedialJitter = 1
-	}
 	if cfg.MaxInflightPerChannel == 0 {
 		cfg.MaxInflightPerChannel = defaultMaxInflightPerChannel
 	}
@@ -402,8 +388,8 @@ func NewHost(cfg Config) (*Host, error) {
 	}
 	h.resumedChans = make(map[wire.ChannelID]bool)
 	h.ackCond = sync.NewCond(&h.ackMu)
-	// Payment lanes run concurrently: the pools lock, every chain this
-	// enclave forms or restores is pipelined, and a core.Config that
+	// Payment lanes run concurrently: the pools lock, every log append
+	// kicks the replication flusher, and a core.Config that
 	// would force payments off the lanes is refused — once, here, so
 	// neither payOn nor handleLaneFrame asks per message. No goroutine
 	// exists yet, so this is safely ordered before all use.

@@ -112,13 +112,14 @@ const (
 // outboxDepth bounds each peer's outbound frame queue.
 const outboxDepth = 1024
 
-// The reconnect backoff doubles from redialMin to redialMax.
-// defaultRedialJitter is Config.RedialJitter's default: each backoff
-// sleep lands uniformly in the lower half of [d/2, d].
+// The reconnect backoff doubles from redialMin to redialMax. Each
+// sleep is jittered uniformly over [(1-redialJitter)·d, d], so peers
+// cut off by the same event (a partition healing, a hub restarting) do
+// not redial in lockstep.
 const (
-	redialMin           = 25 * time.Millisecond
-	redialMax           = time.Second
-	defaultRedialJitter = 0.5
+	redialMin    = 25 * time.Millisecond
+	redialMax    = time.Second
+	redialJitter = 0.5
 )
 
 // sentRingSize is the recent-write tail depth re-sent after a
@@ -208,7 +209,7 @@ func (p *peer) run() {
 		if p.addr != "" {
 			conn, err := p.h.dialPeerConn(p.addr)
 			if err != nil {
-				sleep, next := nextBackoff(backoff, redialMax, p.h.cfg.RedialJitter, rand.Float64())
+				sleep, next := nextBackoff(backoff, redialMax, redialJitter, rand.Float64())
 				select {
 				case <-time.After(sleep):
 				case <-p.quit:

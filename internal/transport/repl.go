@@ -57,9 +57,8 @@ const (
 
 // FormCommittee forms this enclave's committee chain (§6) from the
 // named peers, in chain order, with signature threshold m over
-// len(members)+1 keys. Peers are attested first when needed. The chain
-// is pipelined (NewHost saw to that) and the replication flusher
-// starts. Blocks until every member has returned its committee key (the
+// len(members)+1 keys. Peers are attested first when needed, and the
+// replication flusher starts. Blocks until every member has returned its committee key (the
 // chain is ready for deposits). A durable host then snapshots at once:
 // forming a chain writes no WAL record, so an owner that crashed before
 // its first periodic snapshot would otherwise come back without it.
