@@ -402,9 +402,6 @@ func TestCostAccounting(t *testing.T) {
 	if got := tx.CostUnits(); got != 1.5 {
 		t.Fatalf("CostUnits = %v, want 1.5", got)
 	}
-	if tx.WireSize() <= 0 {
-		t.Fatal("WireSize not positive")
-	}
 }
 
 func TestMinerProducesBlocksOnSchedule(t *testing.T) {

@@ -221,9 +221,6 @@ func (tx *Transaction) CostUnits() float64 {
 	return float64(tx.NumKeys()+tx.NumSigs()) / 2
 }
 
-// WireSize returns the size of the transaction encoding in bytes.
-func (tx *Transaction) WireSize() int { return len(tx.encode(true)) }
-
 // encode produces the deterministic binary encoding. When withSigs is
 // false, signature slots are encoded as counts only, yielding the
 // signature-hash preimage.

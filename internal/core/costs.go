@@ -89,12 +89,19 @@ func CostModel(stableStorage bool) func(payload any) (cpu, delay time.Duration) 
 			cpu = CostPayBase + time.Duration(max(1, len(m.Amounts)))*CostPayPerPayment
 		case *wire.PayAck, *wire.PayNack, *wire.PayBatchAck:
 			cpu = CostPayBase
+		case *wire.ReplBatch:
+			cpu = CostReplBase
+			for i := range m.Ops {
+				if op := &m.Ops[i]; op.Kind != wire.ReplOpPayRevert {
+					cpu += time.Duration(max(1, op.Count)) * CostReplPerPayment
+				}
+			}
 		case *wire.ReplUpdate:
+			// Payment ops replicate in ReplBatch frames; a ReplUpdate
+			// carries a cold op.
 			cpu = CostReplBase
 			if op, ok := m.Op.(*Op); ok {
 				switch op.Kind {
-				case OpPaySend, OpPayRecv:
-					cpu += time.Duration(max(1, op.Count)) * CostReplPerPayment
 				case OpMhStage, OpMhStart, OpMhFinish:
 					// Committee members verify τ and contribute
 					// threshold signatures during stage replication
@@ -103,7 +110,7 @@ func CostModel(stableStorage bool) func(payload any) (cpu, delay time.Duration) 
 					delay = CostMhStageDelay / 2
 				}
 			}
-		case *wire.ReplAck:
+		case *wire.ReplAck, *wire.ReplBatchAck:
 			cpu = CostPayBase
 		case *wire.Attest:
 			cpu = CostAttestVerify
@@ -151,7 +158,7 @@ func CostModel(stableStorage bool) func(payload any) (cpu, delay time.Duration) 
 // in the stable-storage configuration).
 func stateChanging(payload any) bool {
 	switch payload.(type) {
-	case *wire.Pay, *wire.PayBatch, *wire.ReplUpdate, *wire.ChannelOpen, *wire.ChannelAck,
+	case *wire.Pay, *wire.PayBatch, *wire.ReplUpdate, *wire.ReplBatch, *wire.ChannelOpen, *wire.ChannelAck,
 		*wire.ApproveDeposit, *wire.AssociateDeposit, *wire.DissociateDeposit,
 		*wire.DissociateAck, *wire.MhLock, *wire.MhSign, *wire.MhPreUpdate,
 		*wire.MhUpdate, *wire.MhPostUpdate, *wire.MhRelease:

@@ -112,7 +112,7 @@ func TestCostModelKnees(t *testing.T) {
 	if tput < 120_000 || tput > 140_000 {
 		t.Fatalf("payment knee %.0f tx/s, want ~130k", tput)
 	}
-	replCPU, _ := cm(&wire.ReplUpdate{Op: &Op{Kind: OpPaySend, Count: 1}})
+	replCPU, _ := cm(&wire.ReplBatch{Ops: []wire.ReplBatchOp{{Kind: wire.ReplOpPaySend, Count: 1}}})
 	tput = 1.0 / replCPU.Seconds()
 	if tput < 30_000 || tput > 38_000 {
 		t.Fatalf("replication knee %.0f tx/s, want ~34k", tput)

@@ -278,18 +278,21 @@ func TestReplayedEnvelopeDropped(t *testing.T) {
 		t.Fatalf("bob balance %d, want 100", myB)
 	}
 
-	// Forge a replay: reuse a stale token by sealing one through the
-	// peer session the way Node.send does, delivering it twice.
+	// Forge a replay: seal one bound token through the peer session
+	// the way Node.send does, and deliver the envelope twice.
 	sess := a.Enclave().establishedSession(b.Identity())
 	if sess == nil {
 		t.Fatal("alice has no session with bob")
 	}
-	token := sess.transport.SealAppend(nil, nil, nil)
-	env := &Envelope{From: a.Identity(), Msg: &wire.Pay{Channel: id, Amount: 100, Count: 1}, Token: token}
-	if err := w.net.Send(a.ID, b.ID, env, env.WireSize()); err != nil {
+	env := &Envelope{From: a.Identity(), Msg: &wire.Pay{Channel: id, Amount: 100, Count: 1}}
+	size, err := env.seal(sess.transport)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w.net.Send(a.ID, b.ID, env, env.WireSize()); err != nil {
+	if err := w.net.Send(a.ID, b.ID, env, size); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.net.Send(a.ID, b.ID, env, size); err != nil {
 		t.Fatal(err)
 	}
 	w.run()
@@ -309,8 +312,13 @@ func TestForgedSenderRejected(t *testing.T) {
 	id := w.openChannel(a, b)
 	w.fundAndAssociate(a, b, id, 1000)
 
-	env := &Envelope{From: a.Identity(), Msg: &wire.Pay{Channel: id, Amount: 500, Count: 1}, Token: []byte("garbage")}
-	if err := w.net.Send(m.ID, b.ID, env, env.WireSize()); err != nil {
+	env := &Envelope{From: a.Identity(), Msg: &wire.Pay{Channel: id, Amount: 500, Count: 1}}
+	size, err := env.seal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Token = []byte("garbage")
+	if err := w.net.Send(m.ID, b.ID, env, size); err != nil {
 		t.Fatal(err)
 	}
 	w.run()

@@ -437,10 +437,12 @@ func verifyTokenBound(s *peerSession, token []byte, code byte, payload []byte) e
 	return nil
 }
 
-// HandleSealedBound is HandleSealed for transports that seal bound
-// tokens (SealTokenBound): the token must authenticate the frame's
-// payload bytes and type code, not just freshness. Attest messages
-// carry no token (the session does not exist yet).
+// HandleSealedBound is HandleMessage preceded by verification of the
+// frame's bound freshness token (SealTokenBound), sharing one session
+// lookup between the two: the token must authenticate the frame's
+// payload bytes and type code, not just freshness. Both hosts deliver
+// every frame through it. Attest messages carry no token (the session
+// does not exist yet).
 func (e *Enclave) HandleSealedBound(from cryptoutil.PublicKey, token []byte, code byte, payload []byte, msg wire.Message) (*Result, error) {
 	if a, ok := msg.(*wire.Attest); ok {
 		if a.Software {
@@ -623,7 +625,7 @@ func (e *Enclave) handleReplUpdate(from cryptoutil.PublicKey, m *wire.ReplUpdate
 				Chain: m.Chain, Seq: m.Seq, TauSigs: b.pendingSigs[m.Seq],
 			})}
 			if b.lastSeq > m.Seq {
-				res.Out = append(res.Out, Outbound{To: b.prev(), Msg: &wire.ReplBatchAck{Chain: m.Chain, Seq: b.lastSeq}})
+				res.Out = append(res.Out, Outbound{To: b.prev(), Msg: e.pools.replBatchAck(m.Chain, b.lastSeq)})
 			}
 			return res, nil
 		}
@@ -655,7 +657,7 @@ func (e *Enclave) handleReplUpdate(from cryptoutil.PublicKey, m *wire.ReplUpdate
 		return e.freezeMerged(b, res, dreason)
 	}
 	if ackPending {
-		res.Out = append(res.Out, Outbound{To: b.prev(), Msg: &wire.ReplBatchAck{Chain: m.Chain, Seq: b.lastSeq}})
+		res.Out = append(res.Out, Outbound{To: b.prev(), Msg: e.pools.replBatchAck(m.Chain, b.lastSeq)})
 	}
 	return res, nil
 }
@@ -859,27 +861,6 @@ func (e *Enclave) HandleMessage(from cryptoutil.PublicKey, msg wire.Message) (*R
 		return e.handleAttest(from, a)
 	}
 	if _, err := e.session(from); err != nil {
-		return nil, err
-	}
-	return e.handleSessionMessage(from, msg)
-}
-
-// HandleSealed is HandleMessage preceded by freshness-token
-// verification, sharing a single session lookup between the two — the
-// form transports use on the per-message fast path. Attest messages
-// carry no token (the session does not exist yet).
-func (e *Enclave) HandleSealed(from cryptoutil.PublicKey, token []byte, msg wire.Message) (*Result, error) {
-	if a, ok := msg.(*wire.Attest); ok {
-		if a.Software {
-			return e.handleSoftwareAttest(from, a)
-		}
-		return e.handleAttest(from, a)
-	}
-	s, err := e.session(from)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := s.transport.Open(token, nil); err != nil {
 		return nil, err
 	}
 	return e.handleSessionMessage(from, msg)

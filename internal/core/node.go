@@ -42,12 +42,16 @@ func (d *Directory) NodeOf(id cryptoutil.PublicKey) (netsim.NodeID, bool) {
 	return n, ok
 }
 
-// Envelope is the unit the host transports: a protocol message plus the
-// session freshness token produced by the sending enclave.
+// Envelope is the unit the host transports: a protocol message, its
+// encoded payload and the session freshness token the sending enclave
+// bound to it. Code and Payload are the frame body the socket host would
+// write for Msg; the receiver verifies the token against them.
 type Envelope struct {
-	From  cryptoutil.PublicKey
-	Msg   wire.Message
-	Token []byte
+	From    cryptoutil.PublicKey
+	Msg     wire.Message
+	Token   []byte
+	Code    byte
+	Payload []byte
 
 	// pooled marks envelopes obtained from getEnvelope. Only those are
 	// recycled on release: hosts send each pooled envelope exactly once,
@@ -57,16 +61,23 @@ type Envelope struct {
 	pooled bool
 }
 
-// WireSize is the envelope's size on the simulated network: the sender
-// identity, the token and the message's own WireSize. Only
-// enclave-protocol messages travel in envelopes, and each of them has a
-// size (wire.TestWireSizesPositive).
-func (env *Envelope) WireSize() int {
-	n := 65 + len(env.Token)
-	if s, ok := env.Msg.(interface{ WireSize() int }); ok {
-		n += s.WireSize()
+// seal does for Msg what the socket host does before it writes a frame
+// (transport.Host.sendLocked): it encodes the payload into Payload and,
+// given the peer session, seals into Token a freshness token bound to
+// the frame's type code and payload (Attest travels without one). It
+// returns the frame's length, which is what the simulated network
+// charges, or the error on which the socket host would drop the frame.
+func (env *Envelope) seal(sess *cryptoutil.Session) (int, error) {
+	payload, code, _, err := wire.EncodePayload(env.Payload[:0], env.Msg)
+	if err != nil {
+		return 0, err
 	}
-	return n
+	env.Code, env.Payload = code, payload
+	env.Token = env.Token[:0]
+	if sess != nil {
+		env.Token = sess.SealAppendBound(env.Token, code, payload)
+	}
+	return wire.FrameLen(len(env.Token), len(payload))
 }
 
 // NodeConfig bundles host-level policy.
@@ -206,6 +217,9 @@ type Node struct {
 	// node's deployment runs on one goroutine, so plain freelists work.
 	freeBatches []*inflightBatch
 	freePending []*pendingBatch
+	// replBatch is the pooled frame the next replication flush fills;
+	// it leaves with the envelope once sent.
+	replBatch *wire.ReplBatch
 
 	// temporary channel setup and merge bookkeeping (§5.2)
 	tempSetup     []tempSetup
@@ -220,6 +234,10 @@ type Node struct {
 	PaymentsReceived uint64
 	MultihopsOK      uint64
 	MultihopsFailed  uint64
+	// Dropped counts outbound messages that never left the host: no
+	// route or session, an encoding the socket host could not frame
+	// either, or a partitioned link.
+	Dropped uint64
 }
 
 // NewNode creates a host plus its enclave, attaches it to the network,
@@ -263,6 +281,7 @@ func NewNode(id netsim.NodeID, net *netsim.Network, bc *chain.Chain, dir *Direct
 	}
 	enclave.pools = dir.pools
 	n.ep = net.AddNode(id, n.handleNetMessage, n.messageCost)
+	n.ep.OnHeal(n.flushRepl)
 	dir.Register(enclave.Identity(), id)
 	bc.OnBlock(n.onBlock)
 	return n, nil
@@ -368,16 +387,24 @@ func (n *Node) route(to cryptoutil.PublicKey) *peerRoute {
 }
 
 // flushRepl hands every flushable op of the enclave's replication log
-// to the network, each as its own per-sequence ReplUpdate (no batch: a
-// backup acknowledges and releases one update at a time, the chain
-// Table 1's committee rows are calibrated on). Retransmissions a
-// mirror's NACK scheduled go first. A frame the network refuses is
-// rewound and re-offered by the next dispatch.
+// to the network as the socket host's flusher does, but one op per
+// frame: a payment op leaves as a one-op ReplBatch, a cold op as a solo
+// ReplUpdate, so a backup acknowledges and releases one entry at a time
+// — the chain Table 1's committee rows are calibrated on.
+// Retransmissions a mirror's NACK scheduled go first. A frame the
+// network refuses is rewound and re-offered by the next dispatch, or
+// when a partitioned link of this node heals.
 func (n *Node) flushRepl() {
 	for {
-		to, msg, k := n.enclave.ReplNextFlush(nil, 1, replMaxPending)
+		if n.replBatch == nil {
+			n.replBatch = n.pools.getReplBatchMsg()
+		}
+		to, msg, k := n.enclave.ReplNextFlush(n.replBatch, 1, replMaxPending)
 		if k == 0 {
 			return
+		}
+		if msg == wire.Message(n.replBatch) {
+			n.replBatch = nil // it travels with the envelope now
 		}
 		if !n.send(Outbound{To: to, Msg: msg}) {
 			n.enclave.ReplRewind(msg, k)
@@ -388,43 +415,50 @@ func (n *Node) flushRepl() {
 }
 
 // send seals out and hands it to the network. It reports false when
-// the message never left — no route, no session or a partitioned link —
-// and the message is then still the caller's.
+// the message never left — no route, no session, an unencodable message
+// or a partitioned link — counting it in Dropped; the message is then
+// still the caller's.
 func (n *Node) send(out Outbound) bool {
 	pr := n.route(out.To)
 	if pr == nil {
-		n.logf("no route to identity %s", out.To)
+		n.drop(out.Msg, "no route to identity %s", out.To)
 		return false
+	}
+	var sess *cryptoutil.Session
+	if _, isAttest := out.Msg.(*wire.Attest); !isAttest {
+		if pr.sess == nil {
+			// Sessions are never replaced once established, so the
+			// route may cache the transport for the peer's lifetime.
+			if pr.sess = n.enclave.establishedSession(out.To); pr.sess == nil {
+				n.drop(out.Msg, "no established session with %s", out.To)
+				return false
+			}
+		}
+		sess = pr.sess.transport
 	}
 	env := n.pools.getEnvelope()
 	env.From = n.enclave.Identity()
 	env.Msg = out.Msg
-	if _, isAttest := out.Msg.(*wire.Attest); !isAttest {
-		sess := pr.sess
-		if sess == nil {
-			// Sessions are never replaced once established, so the
-			// route may cache the transport for the peer's lifetime.
-			sess = n.enclave.establishedSession(out.To)
-			if sess == nil {
-				n.logf("sealing token for %s: no established session", out.To)
-				env.Msg = nil
-				n.pools.putEnvelope(env)
-				return false
-			}
-			pr.sess = sess
-		}
-		env.Token = sess.transport.SealAppend(env.Token[:0], nil, nil)
+	size, err := env.seal(sess)
+	if err == nil {
+		err = n.net.SendEp(n.ep, pr.ep, env, size)
 	}
-	if err := n.net.SendEp(n.ep, pr.ep, env, env.WireSize()); err != nil {
+	if err != nil {
 		// The message was never handed to the network, so the envelope
 		// is still exclusively ours to recycle — a partition retry
 		// storm stays allocation-free.
-		n.logf("send to %s: %v", pr.ep.ID(), err)
+		n.drop(out.Msg, "sending to %s: %v", pr.ep.ID(), err)
 		env.Msg = nil
 		n.pools.putEnvelope(env)
 		return false
 	}
 	return true
+}
+
+// drop counts and logs a message that never left this host.
+func (n *Node) drop(msg wire.Message, format string, args ...any) {
+	n.Dropped++
+	n.logf("dropping %T: "+format, append([]any{msg}, args...)...)
 }
 
 func (n *Node) handleNetMessage(from netsim.NodeID, payload any) {
@@ -441,7 +475,7 @@ func (n *Node) handleNetMessage(from netsim.NodeID, payload any) {
 			pr.sess = nil
 		}
 	}
-	res, err := n.enclave.HandleSealed(env.From, env.Token, env.Msg)
+	res, err := n.enclave.HandleSealedBound(env.From, env.Token, env.Code, env.Payload, env.Msg)
 	if err != nil {
 		n.logf("dropping %T from %s: %v", env.Msg, from, err)
 		n.pools.putEnvelope(env)

@@ -204,12 +204,22 @@ func (c *Client) Attach(remote *Node) error {
 	}
 	c.dh = dh
 	c.remote = remote.Identity()
-	env := &Envelope{From: c.key.Public(), Msg: &wire.Attest{
+	return c.send(remote.ID, nil, &wire.Attest{
 		Identity: c.key.Public(),
 		DHPublic: dh.PublicBytes(),
 		Software: true,
-	}}
-	return c.net.Send(c.ID, remote.ID, env, env.WireSize())
+	})
+}
+
+// send seals msg the way a host does (Envelope.seal; sess is nil for
+// Attest) and hands it to the network.
+func (c *Client) send(to netsim.NodeID, sess *cryptoutil.Session, msg wire.Message) error {
+	env := &Envelope{From: c.key.Public(), Msg: msg}
+	size, err := env.seal(sess)
+	if err != nil {
+		return err
+	}
+	return c.net.Send(c.ID, to, env, size)
 }
 
 // Attached reports whether the remote enclave session is established.
@@ -277,10 +287,5 @@ func (c *Client) Pay(channel wire.ChannelID, amount chain.Amount, count int, don
 	if !ok {
 		return errors.New("core: remote enclave not in directory")
 	}
-	env := &Envelope{
-		From:  c.key.Public(),
-		Msg:   &wire.OutsourceCmd{Seq: seq, Payload: sealed},
-		Token: c.transport.Seal(nil, nil),
-	}
-	return c.net.Send(c.ID, remoteNode, env, env.WireSize())
+	return c.send(remoteNode, c.transport, &wire.OutsourceCmd{Seq: seq, Payload: sealed})
 }

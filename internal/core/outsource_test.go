@@ -79,8 +79,13 @@ func TestOutsourceRejectsSecondUserAndForeignCommands(t *testing.T) {
 
 	// Eve forges a command claiming dave's identity but cannot produce
 	// a valid token or sealed payload.
-	env := &Envelope{From: dave.Identity(), Msg: &wire.OutsourceCmd{Seq: 99, Payload: []byte("junk")}, Token: []byte("junk")}
-	if err := w.net.Send(eve.ID, remote.ID, env, env.WireSize()); err != nil {
+	env := &Envelope{From: dave.Identity(), Msg: &wire.OutsourceCmd{Seq: 99, Payload: []byte("junk")}}
+	size, err := env.seal(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Token = []byte("junk")
+	if err := w.net.Send(eve.ID, remote.ID, env, size); err != nil {
 		t.Fatal(err)
 	}
 	w.run()

@@ -9,8 +9,8 @@ import (
 
 // hotPools recycles the objects a payment allocates on its way through
 // the stack — the replicated Op, the wire message, the Result
-// aggregate, and the host Envelope (whose Token buffer doubles as the
-// session-token scratch space). Each is alive only from one enclave
+// aggregate, and the host Envelope (whose Token and Payload buffers
+// double as the token and encoding scratch space). Each is alive only from one enclave
 // entry point to the next simulator event, so with the pools the
 // steady-state payment path allocates nothing except event boxing; see
 // DESIGN.md §6 for the ownership rules.
@@ -39,6 +39,8 @@ type hotPools struct {
 	batchAcks   []*wire.PayBatchAck
 	replUpdates []*wire.ReplUpdate
 	replAcks    []*wire.ReplAck
+	replBatches []*wire.ReplBatch
+	replBAcks   []*wire.ReplBatchAck
 }
 
 func newHotPools() *hotPools { return &hotPools{} }
@@ -69,19 +71,28 @@ func (p *hotPools) lockSlow() { p.mu.Lock() }
 //go:noinline
 func (p *hotPools) unlockSlow() { p.mu.Unlock() }
 
+// take pops a recycled object off one of p's freelists, or returns a
+// new zero one when the list is empty. Objects return to their list
+// through the put and recycle functions, which reset them first.
+func take[T any](p *hotPools, free *[]*T) *T {
+	p.lock()
+	var m *T
+	if k := len(*free); k > 0 {
+		m = (*free)[k-1]
+		*free = (*free)[:k-1]
+	} else {
+		m = new(T)
+	}
+	p.unlock()
+	return m
+}
+
 // getResult returns an empty pooled Result. Results obtained here are
 // recycled by Node.dispatch after their contents are consumed; only
 // construct one per enclave return value, never retain it.
 func (p *hotPools) getResult() *Result {
-	p.lock()
-	var r *Result
-	if k := len(p.results); k > 0 {
-		r = p.results[k-1]
-		p.results = p.results[:k-1]
-	} else {
-		r = &Result{pooled: true}
-	}
-	p.unlock()
+	r := take(p, &p.results)
+	r.pooled = true
 	return r
 }
 
@@ -113,18 +124,7 @@ func (p *hotPools) putResultLocked(r *Result) {
 // getOp returns a zeroed Op for a hot-path state transition. commitFast
 // recycles it once nothing retains it (on commit when unreplicated,
 // otherwise when the replication ack releases the pending update).
-func (p *hotPools) getOp() *Op {
-	p.lock()
-	var op *Op
-	if k := len(p.ops); k > 0 {
-		op = p.ops[k-1]
-		p.ops = p.ops[:k-1]
-	} else {
-		op = new(Op)
-	}
-	p.unlock()
-	return op
-}
+func (p *hotPools) getOp() *Op { return take(p, &p.ops) }
 
 func (p *hotPools) putOp(op *Op) {
 	*op = Op{}
@@ -188,6 +188,13 @@ func (p *hotPools) recycleMsgLocked(msg wire.Message) {
 		m.Seq = 0
 		m.TauSigs = nil // sig slices travel onward in relayed acks
 		p.replAcks = append(p.replAcks, m)
+	case *wire.ReplBatch:
+		m.Chain, m.FirstSeq, m.Retx = "", 0, false
+		m.Ops = m.Ops[:0]
+		p.replBatches = append(p.replBatches, m)
+	case *wire.ReplBatchAck:
+		*m = wire.ReplBatchAck{}
+		p.replBAcks = append(p.replBAcks, m)
 	}
 }
 
@@ -201,102 +208,49 @@ func hotOp(op *Op) bool {
 	return false
 }
 
-func (p *hotPools) getPayMsg() *wire.Pay {
-	p.lock()
-	var m *wire.Pay
-	if k := len(p.pays); k > 0 {
-		m = p.pays[k-1]
-		p.pays = p.pays[:k-1]
-	} else {
-		m = new(wire.Pay)
-	}
-	p.unlock()
-	return m
-}
+func (p *hotPools) getPayMsg() *wire.Pay { return take(p, &p.pays) }
 
-func (p *hotPools) getPayAckMsg() *wire.PayAck {
-	p.lock()
-	var m *wire.PayAck
-	if k := len(p.acks); k > 0 {
-		m = p.acks[k-1]
-		p.acks = p.acks[:k-1]
-	} else {
-		m = new(wire.PayAck)
-	}
-	p.unlock()
-	return m
-}
+func (p *hotPools) getPayAckMsg() *wire.PayAck { return take(p, &p.acks) }
 
 // getPayBatchMsg returns a PayBatch whose Amounts slice keeps capacity
 // from previous journeys; append into Amounts[:0].
-func (p *hotPools) getPayBatchMsg() *wire.PayBatch {
-	p.lock()
-	var m *wire.PayBatch
-	if k := len(p.batches); k > 0 {
-		m = p.batches[k-1]
-		p.batches = p.batches[:k-1]
-	} else {
-		m = new(wire.PayBatch)
-	}
-	p.unlock()
-	return m
-}
+func (p *hotPools) getPayBatchMsg() *wire.PayBatch { return take(p, &p.batches) }
 
-func (p *hotPools) getPayBatchAckMsg() *wire.PayBatchAck {
-	p.lock()
-	var m *wire.PayBatchAck
-	if k := len(p.batchAcks); k > 0 {
-		m = p.batchAcks[k-1]
-		p.batchAcks = p.batchAcks[:k-1]
-	} else {
-		m = new(wire.PayBatchAck)
-	}
-	p.unlock()
-	return m
-}
+func (p *hotPools) getPayBatchAckMsg() *wire.PayBatchAck { return take(p, &p.batchAcks) }
 
 // getReplUpdateMsg returns a zeroed ReplUpdate for solo flushes
 // (ReplNextFlush) and mirror relays.
-func (p *hotPools) getReplUpdateMsg() *wire.ReplUpdate {
-	p.lock()
-	var m *wire.ReplUpdate
-	if k := len(p.replUpdates); k > 0 {
-		m = p.replUpdates[k-1]
-		p.replUpdates = p.replUpdates[:k-1]
-	} else {
-		m = new(wire.ReplUpdate)
-	}
-	p.unlock()
-	return m
-}
+func (p *hotPools) getReplUpdateMsg() *wire.ReplUpdate { return take(p, &p.replUpdates) }
 
 // getReplAckMsg returns a zeroed ReplAck for the backup ack path.
-func (p *hotPools) getReplAckMsg() *wire.ReplAck {
-	p.lock()
-	var m *wire.ReplAck
-	if k := len(p.replAcks); k > 0 {
-		m = p.replAcks[k-1]
-		p.replAcks = p.replAcks[:k-1]
-	} else {
-		m = new(wire.ReplAck)
-	}
-	p.unlock()
+func (p *hotPools) getReplAckMsg() *wire.ReplAck { return take(p, &p.replAcks) }
+
+// getReplBatchMsg returns an empty ReplBatch whose Ops slice keeps
+// capacity from previous journeys.
+func (p *hotPools) getReplBatchMsg() *wire.ReplBatch { return take(p, &p.replBatches) }
+
+// replBatchCopy returns a pooled copy of m. A member relays a copy,
+// never the inbound frame: the simulator recycles that with its
+// envelope, and a byte transport decodes the next frame into it.
+func (p *hotPools) replBatchCopy(m *wire.ReplBatch) *wire.ReplBatch {
+	c := p.getReplBatchMsg()
+	c.Chain, c.FirstSeq, c.Retx = m.Chain, m.FirstSeq, m.Retx
+	c.Ops = append(c.Ops, m.Ops...)
+	return c
+}
+
+// replBatchAck returns a pooled cumulative ack for seq on chain.
+func (p *hotPools) replBatchAck(chain string, seq uint64) *wire.ReplBatchAck {
+	m := take(p, &p.replBAcks)
+	m.Chain, m.Seq = chain, seq
 	return m
 }
 
-// getEnvelope returns an Envelope whose Token buffer may carry capacity
-// from a previous journey; seal into Token[:0].
+// getEnvelope returns an Envelope whose Token and Payload buffers may
+// carry capacity from a previous journey; Envelope.seal reuses them.
 func (p *hotPools) getEnvelope() *Envelope {
-	p.lock()
-	var env *Envelope
-	if k := len(p.envs); k > 0 {
-		env = p.envs[k-1]
-		p.envs = p.envs[:k-1]
-		env.pooled = true
-	} else {
-		env = &Envelope{pooled: true}
-	}
-	p.unlock()
+	env := take(p, &p.envs)
+	env.pooled = true
 	return env
 }
 
@@ -317,6 +271,8 @@ func (p *hotPools) putEnvelope(env *Envelope) {
 	env.From = cryptoutil.PublicKey{}
 	env.Msg = nil
 	env.Token = env.Token[:0]
+	env.Code = 0
+	env.Payload = env.Payload[:0]
 	p.envs = append(p.envs, env)
 	p.unlock()
 }

@@ -18,10 +18,10 @@
 // solo ReplUpdate frames), pipelining batches down the chain without
 // waiting, bounded by an in-flight window; the tail acknowledges
 // cumulatively and one ReplBatchAck releases a whole run of withheld
-// effects. The simulator's Node drains after every dispatch without a
-// batch, so each op leaves as its own per-sequence ReplUpdate and each
-// backup ack releases exactly one entry (the per-update chain of §6
-// that the harness determinism tests pin).
+// effects. The simulator's Node drains after every dispatch with a
+// one-op batch: each payment op leaves as its own ReplBatch (cold ops
+// as solo ReplUpdate) and each ReplBatchAck releases exactly one entry
+// (the per-update chain of §6 that the harness determinism tests pin).
 //
 // Entries are pooled and recycled on release, so a replicated payment
 // commit allocates nothing in steady state.
@@ -353,11 +353,10 @@ func replOpKind(k uint8) (OpKind, bool) {
 	return 0, false
 }
 
-// ReplNextFlush hands the host its next replication frame: a run of
-// consecutive payment ops packed into batch (reused across calls), or a
-// solo *wire.ReplUpdate for ops that cannot batch (multi-hop stages
-// need per-sequence τ-signature piggybacking). With a nil batch every
-// op leaves solo — the simulator's per-update chain. Returns n == 0
+// ReplNextFlush hands the host its next replication frame: a run of at
+// most maxOps consecutive payment ops packed into batch, or a solo
+// *wire.ReplUpdate for ops that cannot batch (multi-hop stages need
+// per-sequence τ-signature piggybacking). Returns n == 0
 // when nothing is flushable — the log is drained, or
 // flushed-but-unacknowledged ops already fill maxWindow (the pipelining
 // backpressure bound). A scheduled retransmission (ReplNack or
@@ -395,7 +394,7 @@ func (e *Enclave) ReplNextFlush(batch *wire.ReplBatch, maxOps, maxWindow int) (t
 	}
 	first := *cursor + 1
 	ent := l.entryAtLocked(first)
-	if batch == nil || replBatchKind(ent.op.Kind) == 0 {
+	if replBatchKind(ent.op.Kind) == 0 {
 		*cursor++
 		if retx {
 			l.retxOps++
@@ -550,10 +549,13 @@ func (e *Enclave) handleReplBatch(from cryptoutil.PublicKey, m *wire.ReplBatch) 
 			// Lost-ack repair: the primary would not re-serve acked
 			// sequences, so the ack must have been lost downstream of
 			// here — relay (middle) or re-acknowledge (tail).
+			res := e.pools.getResult()
 			if hasNext {
-				return &Result{Out: oneOut(next, m)}, nil
+				res.Out = append(res.Out, Outbound{To: next, Msg: e.pools.replBatchCopy(m)})
+			} else {
+				res.Out = append(res.Out, Outbound{To: b.prev(), Msg: e.pools.replBatchAck(m.Chain, b.lastSeq)})
 			}
-			return &Result{Out: oneOut(b.prev(), &wire.ReplBatchAck{Chain: m.Chain, Seq: b.lastSeq})}, nil
+			return res, nil
 		}
 		return nil, fmt.Errorf("core: duplicate replication batch %d..%d (have %d)", m.FirstSeq, last, b.lastSeq)
 	}
@@ -574,16 +576,16 @@ func (e *Enclave) handleReplBatch(from cryptoutil.PublicKey, m *wire.ReplBatch) 
 	if reason := e.applyBatchSuffix(b, m.FirstSeq, m.Ops); reason != "" {
 		return e.freezeChainLocal(b, reason)
 	}
-	res := &Result{}
+	res := e.pools.getResult()
 	if hasNext {
-		res.Out = append(res.Out, Outbound{To: next, Msg: m})
+		res.Out = append(res.Out, Outbound{To: next, Msg: e.pools.replBatchCopy(m)})
 	}
 	ackPending := !hasNext
 	if reason := e.replDrainHeld(b, res, &ackPending); reason != "" {
 		return e.freezeMerged(b, res, reason)
 	}
 	if ackPending {
-		res.Out = append(res.Out, Outbound{To: b.prev(), Msg: &wire.ReplBatchAck{Chain: m.Chain, Seq: b.lastSeq}})
+		res.Out = append(res.Out, Outbound{To: b.prev(), Msg: e.pools.replBatchAck(m.Chain, b.lastSeq)})
 	}
 	return res, nil
 }
@@ -598,7 +600,9 @@ func (e *Enclave) handleReplBatchAck(from cryptoutil.PublicKey, m *wire.ReplBatc
 		if next, hasNext := b.next(); !hasNext || next != from {
 			return nil, fmt.Errorf("core: replication ack from non-successor %s", from)
 		}
-		return &Result{Out: oneOut(b.prev(), &wire.ReplBatchAck{Chain: m.Chain, Seq: m.Seq})}, nil
+		res := e.pools.getResult()
+		res.Out = append(res.Out, Outbound{To: b.prev(), Msg: e.pools.replBatchAck(m.Chain, m.Seq)})
+		return res, nil
 	}
 	if e.repl == nil || e.repl.chainID != m.Chain {
 		return nil, fmt.Errorf("core: ack for unknown chain %s", m.Chain)

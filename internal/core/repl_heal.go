@@ -262,7 +262,7 @@ func (e *Enclave) replDrainHeld(b *replBackup, res *Result, ackPending *bool) st
 	next, hasNext := b.next()
 	flushAck := func() {
 		if *ackPending {
-			res.Out = append(res.Out, Outbound{To: b.prev(), Msg: &wire.ReplBatchAck{Chain: b.chainID, Seq: b.lastSeq}})
+			res.Out = append(res.Out, Outbound{To: b.prev(), Msg: e.pools.replBatchAck(b.chainID, b.lastSeq)})
 			*ackPending = false
 		}
 	}
@@ -306,9 +306,10 @@ func (e *Enclave) replDrainHeld(b *replBackup, res *Result, ackPending *bool) st
 			return reason
 		}
 		if hasNext {
-			res.Out = append(res.Out, Outbound{To: next, Msg: &wire.ReplBatch{
-				Chain: b.chainID, FirstSeq: h.firstSeq, Retx: h.retx, Ops: h.ops,
-			}})
+			relay := e.pools.getReplBatchMsg()
+			relay.Chain, relay.FirstSeq, relay.Retx = b.chainID, h.firstSeq, h.retx
+			relay.Ops = append(relay.Ops, h.ops...)
+			res.Out = append(res.Out, Outbound{To: next, Msg: relay})
 		} else {
 			*ackPending = true
 		}

@@ -305,6 +305,41 @@ func TestPartitionedUpdateReachesChainAfterHeal(t *testing.T) {
 	}
 }
 
+// TestLonePaymentCompletesAfterHeal: the update of a payment made while
+// the owner's link to its first member is partitioned is refused and
+// rewound; with nothing else happening at the owner, the heal alone
+// re-offers it and the payment completes. While the link is down the
+// simulator runs dry instead of retrying on a timer.
+func TestLonePaymentCompletesAfterHeal(t *testing.T) {
+	w, owner, r1, r2, bob := committeeWorld(t, 2)
+	id := w.openChannel(owner, bob)
+	w.fundAndAssociate(owner, bob, id, 1000)
+
+	w.net.SetPartitioned(owner.ID, r1.ID, true)
+	if err := owner.Pay(id, 10, nil); err != nil {
+		t.Fatal(err)
+	}
+	w.run()
+	if st, _ := owner.Enclave().ReplStats(); st.Queued != 1 || owner.PaymentsAcked != 0 {
+		t.Fatalf("before the heal: %d acked, %+v; want the update queued", owner.PaymentsAcked, st)
+	}
+	w.net.SetPartitioned(owner.ID, r1.ID, false)
+	w.run()
+
+	if owner.PaymentsAcked != 1 {
+		t.Fatalf("acked %d of 1 payment after the heal", owner.PaymentsAcked)
+	}
+	if got := bob.Enclave().State().Channels[id].MyBal; got != 10 {
+		t.Fatalf("bob holds %d, want 10", got)
+	}
+	for _, member := range []*Node{r1, r2} {
+		mirror, _ := member.Enclave().MirrorState(owner.Enclave().ChainID())
+		if got := mirror.Channels[id].RemoteBal; got != 10 {
+			t.Fatalf("%s mirror credits bob %d, want 10", member.ID, got)
+		}
+	}
+}
+
 // TestLostUpdateIsRetransmittedOnNack: an update lost after it left
 // the owner leaves a gap at the first member, which NACKs it; the
 // owner's next dispatch serves the retransmission from its log.
@@ -319,7 +354,7 @@ func TestLostUpdateIsRetransmittedOnNack(t *testing.T) {
 	if err := owner.Pay(id, 10, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, n := owner.Enclave().ReplNextFlush(nil, 1, replMaxPending); n != 1 {
+	if _, _, n := owner.Enclave().ReplNextFlush(&wire.ReplBatch{}, 1, replMaxPending); n != 1 {
 		t.Fatalf("lost %d updates, want 1", n)
 	}
 	w.net.SetPartitioned(owner.ID, r1.ID, false)

@@ -284,20 +284,6 @@ type Op struct {
 	Fees []chain.Amount
 }
 
-// WireSize estimates the op's encoded size for bandwidth modelling.
-func (op *Op) WireSize() int {
-	n := 64
-	n += len(op.Path) * 65
-	n += len(op.Fees) * 8
-	if op.Tau != nil {
-		n += op.Tau.WireSize()
-	}
-	if op.Deposit.Value != 0 {
-		n += op.Deposit.Size()
-	}
-	return n
-}
-
 // Errors shared across state transitions.
 var (
 	ErrFrozen         = errors.New("core: enclave state is frozen")

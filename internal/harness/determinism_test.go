@@ -72,8 +72,40 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 // payments now leave the map), the descriptor shrank, and the final
 // virtual time moved 480 ns earlier (75987525000 → 75987524520).
 // Balances, mirrors, the acked count and latsum verified unchanged by
-// hand (99206/50794, 200, 64026635984).
-const replicatedDeploymentDigest = "badeba2e60597047913f464aaada7b33"
+// hand (99206/50794, 200, 64026635984). Re-pinned when the simulator
+// began charging each message the socket frame the shipping node would
+// write (encoded payload plus a token bound to it) instead of a
+// hand-written size estimate, and replicating payment ops as one-op
+// ReplBatch frames acknowledged by ReplBatchAck instead of ReplUpdate
+// and ReplAck: balances, both mirrors and the acked count verified
+// unchanged by hand (99206/50794, mirrors 99206/50794, 200), while the
+// hot frames shrank and the cold gob frames grew, so latsum fell
+// 64026635984 → 64025259762 and the final time 75987524520 →
+// 75987093322. Bytes charged per message in this run, old estimate →
+// socket frame:
+//
+//	Pay, PayAck                               141 → 131
+//	payment op: ReplUpdate → 1-op ReplBatch   201 → 165
+//	its ack: ReplAck → ReplBatchAck           137 → 127
+//	cold-op ReplUpdate (gob)                  201–663 → 1200–1846
+//	cold-op ReplAck (gob)                     137 → 284
+//	Attest                                    356 → 714–739
+//	ReplAttach                                2663 → 2972
+//	ReplAttachAck                             194 → 298–307
+//	ChannelOpen                               169 → 272
+//	ChannelAck                                233 → 279
+//	ApproveDeposit                            242–567 → 635–1140
+//	ApprovedDeposit                           205 → 255–257
+//	AssociateDeposit                          326–591 → 750–1192
+//
+// Messages this run does not send, as Table 2, Table 3 and the
+// outsourced Table 1 row charge them: MhLock 634–1538 → 603–1484,
+// MhSign 789–1689 → 750–1635, MhPreUpdate 917–1689 → 878–1641,
+// MhUpdate/MhPostUpdate/MhRelease 129 → 109–110, MhAbort 153–251 →
+// 136–234, PayNack 155 → 147, multi-hop-stage ReplUpdate (gob)
+// 201–1759 → 1181–3403, OutsourceCmd 236 → 278, OutsourceResult
+// 114 → 164.
+const replicatedDeploymentDigest = "2cdcd46a20274b9455a7427b0d67ef2d"
 
 // TestReplicatedDeploymentDigest replays the replicated deployment and
 // compares against the pinned digest.

@@ -235,6 +235,51 @@ func TestTable3CreditsTheCompletingPath(t *testing.T) {
 	}
 }
 
+// TestTable1Shape runs every Teechain row of Table 1 at a tenth of its
+// measurement length (the stable-storage row keeps its 50 payments) and
+// checks the paper's ordering: no fault tolerance beats one replica,
+// which is no slower than two, which is no slower than three; each
+// batching row is no slower than its unbatched row; stable storage is
+// the slowest; latency rises with every replica added.
+func TestTable1Shape(t *testing.T) {
+	specs := table1Specs()
+	rows := make(map[string]Table1Row, len(specs))
+	for _, spec := range specs {
+		spec.payments = max(spec.payments/10, 50)
+		row, err := runTable1Spec(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.name, err)
+		}
+		rows[row.Name] = row
+	}
+	chain := []string{"No fault tolerance", "One replica (IL)", "Two replicas (IL & UK)", "Three replicas (IL, US & UK)"}
+	for i := 1; i < len(chain); i++ {
+		fewer, more := rows[chain[i-1]], rows[chain[i]]
+		outright := i == 1 // any replica costs throughput
+		if more.Throughput > fewer.Throughput || outright && more.Throughput == fewer.Throughput {
+			t.Errorf("%s: %.0f tx/s against %s's %.0f", more.Name, more.Throughput, fewer.Name, fewer.Throughput)
+		}
+		if more.AvgLatency <= fewer.AvgLatency {
+			t.Errorf("%s: %v, not above %s's %v", more.Name, more.AvgLatency, fewer.Name, fewer.AvgLatency)
+		}
+	}
+	for batched, plain := range map[string]string{
+		"Batching (no fault tolerance)": "No fault tolerance",
+		"Batching (two replicas)":       "Two replicas (IL & UK)",
+		"Batching (stable storage)":     "Stable storage",
+	} {
+		if b, p := rows[batched].Throughput, rows[plain].Throughput; b < p {
+			t.Errorf("%s: %.0f tx/s, below %s's %.0f", batched, b, plain, p)
+		}
+	}
+	stable := rows["Stable storage"]
+	for name, row := range rows {
+		if name != stable.Name && row.Throughput <= stable.Throughput {
+			t.Errorf("%s: %.0f tx/s, not above stable storage's %.0f", name, row.Throughput, stable.Throughput)
+		}
+	}
+}
+
 func TestTable1LNRowMatchesModel(t *testing.T) {
 	rtt := lookupLink(SiteUS, SiteUK).rtt
 	if got := lightning.PaymentLatency(rtt); got < 380*time.Millisecond || got > 400*time.Millisecond {

@@ -78,6 +78,9 @@ type Endpoint struct {
 	// out holds the directed links from this endpoint, indexed by the
 	// destination's handle (nil until first use).
 	out []*link
+	// onHeal, when set, runs whenever a partitioned link of this
+	// endpoint is restored.
+	onHeal func()
 
 	received uint64
 }
@@ -88,6 +91,12 @@ func (e *Endpoint) ID() NodeID { return e.id }
 // Processor exposes the endpoint's serial processor so hosts can charge
 // local (non-message) work such as attestation verification.
 func (e *Endpoint) Processor() *sim.Processor { return e.proc }
+
+// OnHeal installs fn to run whenever a partitioned link between this
+// endpoint and a peer is restored (SetPartitioned with down false on a
+// link that was down), so a host can re-offer what the partition
+// refused without polling. Fault-free runs never call it.
+func (e *Endpoint) OnHeal(fn func()) { e.onHeal = fn }
 
 // Received returns the number of messages delivered so far.
 func (e *Endpoint) Received() uint64 { return e.received }
@@ -168,10 +177,20 @@ func (n *Network) SetLink(a, b NodeID, spec LinkSpec) {
 }
 
 // SetPartitioned makes the a<->b link drop all traffic (both
-// directions) when down is true, and restores it when false.
+// directions) when down is true, and restores it when false. Restoring
+// a link that was down notifies both endpoints (OnHeal).
 func (n *Network) SetPartitioned(a, b NodeID, down bool) {
-	n.direction(a, b).down = down
-	n.direction(b, a).down = down
+	ab, ba := n.direction(a, b), n.direction(b, a)
+	healed := !down && (ab.down || ba.down)
+	ab.down, ba.down = down, down
+	if !healed {
+		return
+	}
+	for _, id := range [2]NodeID{a, b} {
+		if ep := n.byName[id]; ep.onHeal != nil {
+			ep.onHeal()
+		}
+	}
 }
 
 func (n *Network) direction(from, to NodeID) *link {

@@ -240,3 +240,30 @@ func TestAsymmetricTrafficSharesLinkSpec(t *testing.T) {
 		t.Fatalf("deliveries at %v and %v, want both 30ms", atB[0].at, atA[0].at)
 	}
 }
+
+// TestHealNotifiesBothEndpoints: restoring a partitioned link runs each
+// endpoint's heal hook once; partitioning, or "restoring" a link that
+// was never down, runs none, and nothing is scheduled either way.
+func TestHealNotifiesBothEndpoints(t *testing.T) {
+	s := sim.New()
+	n := New(s)
+	heals := map[NodeID]int{}
+	for _, id := range []NodeID{"a", "b", "c"} {
+		ep := n.AddNode(id, nil, nil)
+		ep.OnHeal(func() { heals[id]++ })
+	}
+	n.SetPartitioned("a", "c", false)
+	n.SetPartitioned("a", "b", true)
+	n.SetPartitioned("a", "b", true)
+	if len(heals) != 0 {
+		t.Fatalf("heal hooks ran without a heal: %v", heals)
+	}
+	n.SetPartitioned("a", "b", false)
+	n.SetPartitioned("a", "b", false)
+	if heals["a"] != 1 || heals["b"] != 1 || heals["c"] != 0 {
+		t.Fatalf("heal hooks ran %v, want a and b once each", heals)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events scheduled", s.Pending())
+	}
+}

@@ -66,6 +66,12 @@ const MaxFrameSize = 1 << 20
 // frameHeaderSize is the fixed portion after the length prefix.
 const frameHeaderSize = 1 + 1 + 1 + 65 + 2
 
+// FrameOverhead is what a frame adds to its token and payload: the
+// length prefix and the fixed header. A frame with token t and payload
+// p is FrameOverhead+len(t)+len(p) bytes on the wire — the length the
+// simulator charges its network for the same message.
+const FrameOverhead = 4 + frameHeaderSize
+
 // Framing errors. Receivers treat all of them as a protocol violation
 // by the remote connection.
 var (
@@ -79,10 +85,10 @@ var (
 
 // Hello is the transport-level handshake frame: the first frame each
 // side of a fresh connection sends, announcing who is speaking. It
-// never reaches an enclave or the simulated network, so it has no
-// WireSize — hosts consume it to build their routing table (the
-// paper's out-of-band identity exchange) — but it lives in the
-// registry so one codec covers every frame on the wire.
+// never reaches an enclave or the simulated network — hosts consume it
+// to build their routing table (the paper's out-of-band identity
+// exchange) — but it lives in the registry so one codec covers every
+// frame on the wire.
 type Hello struct {
 	Name   string               // operator-chosen node name
 	Payout cryptoutil.PublicKey // host wallet key for settlement
@@ -196,77 +202,51 @@ type Frame struct {
 }
 
 // gobBufPool recycles the scratch buffers gob payload encoding writes
-// into; the encoded bytes are copied into the frame, so the buffer is
-// free again as soon as AppendFrame returns.
+// into; the encoded bytes are copied out, so the buffer is free again as
+// soon as EncodePayload returns.
 var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // AppendFrame encodes a complete frame (length prefix included) onto
-// dst and returns the extended slice. BinaryMessage payloads encode
-// directly into dst; everything else goes through gob with a pooled
-// scratch buffer, so steady-state framing of hot-path messages is
-// allocation-free once dst has grown to capacity.
+// dst and returns the extended slice. The payload encodes in place
+// behind the header (EncodePayload), so steady-state framing of
+// hot-path messages is allocation-free once dst has grown to capacity.
 func AppendFrame(dst []byte, from cryptoutil.PublicKey, token []byte, msg Message) ([]byte, error) {
-	code, err := MsgCode(msg)
+	start := len(dst)
+	dst, err := AppendFrameRaw(dst, from, token, 0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
-	if len(token) > 0xffff {
-		return nil, fmt.Errorf("wire: token length %d exceeds uint16", len(token))
-	}
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
-	var flags byte
-	bm, isBinary := msg.(BinaryMessage)
-	if isBinary {
-		flags |= FlagBinaryPayload
-	}
-	dst = append(dst, FrameVersion, code, flags)
-	dst = append(dst, from[:]...)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(token)))
-	dst = append(dst, token...)
-	if isBinary {
-		var err error
-		if dst, err = bm.AppendPayload(dst); err != nil {
-			return nil, err
-		}
-	} else {
-		buf := gobBufPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if err := gob.NewEncoder(buf).Encode(msg); err != nil {
-			gobBufPool.Put(buf)
-			return nil, fmt.Errorf("wire: encoding %T: %w", msg, err)
-		}
-		dst = append(dst, buf.Bytes()...)
-		gobBufPool.Put(buf)
+	dst, code, flags, err := EncodePayload(dst, msg)
+	if err != nil {
+		return nil, err
 	}
 	n := len(dst) - start - 4
 	if n > MaxFrameSize {
 		return nil, ErrFrameTooLarge
 	}
 	binary.BigEndian.PutUint32(dst[start:], uint32(n))
+	dst[start+5], dst[start+6] = code, flags // header offsets 5 and 6 (layout above)
 	return dst, nil
 }
 
 // EncodePayload encodes msg's payload bytes onto dst, returning the
-// extended slice plus the message's registry code and frame flags.
-// It is the first half of a two-phase frame build: transports that
-// bind the payload into the freshness token (SealAppendBound) need the
+// extended slice plus the message's registry code and frame flags:
+// BinaryMessage payloads through their codec, everything else through
+// gob. It is the first half of a two-phase frame build: hosts that bind
+// the payload into the freshness token (SealAppendBound) need the
 // payload bytes before the token exists, then assemble the frame with
-// AppendFrameRaw. AppendFrame remains the one-shot form for tokenless
-// and sim-path frames.
+// AppendFrameRaw — or, in the simulator, charge its length.
 func EncodePayload(dst []byte, msg Message) ([]byte, byte, byte, error) {
 	code, err := MsgCode(msg)
 	if err != nil {
 		return dst, 0, 0, err
 	}
-	var flags byte
 	if bm, ok := msg.(BinaryMessage); ok {
-		flags |= FlagBinaryPayload
 		out, err := bm.AppendPayload(dst)
 		if err != nil {
 			return dst, 0, 0, err
 		}
-		return out, code, flags, nil
+		return out, code, FlagBinaryPayload, nil
 	}
 	buf := gobBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -276,7 +256,18 @@ func EncodePayload(dst []byte, msg Message) ([]byte, byte, byte, error) {
 	}
 	dst = append(dst, buf.Bytes()...)
 	gobBufPool.Put(buf)
-	return dst, code, flags, nil
+	return dst, code, 0, nil
+}
+
+// FrameLen is the length of the frame AppendFrameRaw assembles from a
+// token and a payload of the given sizes, length prefix included. Like
+// AppendFrameRaw, it fails with ErrFrameTooLarge when the frame would
+// exceed MaxFrameSize.
+func FrameLen(token, payload int) (int, error) {
+	if n := FrameOverhead - 4 + token + payload; n > MaxFrameSize {
+		return 0, ErrFrameTooLarge
+	}
+	return FrameOverhead + token + payload, nil
 }
 
 // AppendFrameRaw assembles a complete frame (length prefix included)
@@ -286,19 +277,16 @@ func AppendFrameRaw(dst []byte, from cryptoutil.PublicKey, token []byte, code, f
 	if len(token) > 0xffff {
 		return nil, fmt.Errorf("wire: token length %d exceeds uint16", len(token))
 	}
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // length prefix, patched below
+	n, err := FrameLen(len(token), len(payload))
+	if err != nil {
+		return nil, err
+	}
+	dst = binary.BigEndian.AppendUint32(dst, uint32(n-4))
 	dst = append(dst, FrameVersion, code, flags)
 	dst = append(dst, from[:]...)
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(token)))
 	dst = append(dst, token...)
-	dst = append(dst, payload...)
-	n := len(dst) - start - 4
-	if n > MaxFrameSize {
-		return nil, ErrFrameTooLarge
-	}
-	binary.BigEndian.PutUint32(dst[start:], uint32(n))
-	return dst, nil
+	return append(dst, payload...), nil
 }
 
 // DecodeFrame parses a frame body (the bytes following the length
@@ -483,54 +471,54 @@ func readChannelID(src []byte, prev ChannelID) (ChannelID, []byte, error) {
 	return ChannelID(b), src[1+n:], nil
 }
 
-// AppendPayload implements BinaryMessage.
-func (m *Pay) AppendPayload(dst []byte) ([]byte, error) {
-	dst, err := appendChannelID(dst, m.Channel)
+// appendChanAmount and readChanAmount are the one codec of Pay, PayAck
+// and PayBatchAck: channel str8 · amount u64 · count u32.
+func appendChanAmount(dst []byte, ch ChannelID, amount chain.Amount, count int) ([]byte, error) {
+	dst, err := appendChannelID(dst, ch)
 	if err != nil {
 		return dst, err
 	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Amount))
-	return binary.BigEndian.AppendUint32(dst, uint32(m.Count)), nil
+	dst = binary.BigEndian.AppendUint64(dst, uint64(amount))
+	return binary.BigEndian.AppendUint32(dst, uint32(count)), nil
+}
+
+func readChanAmount(src []byte, prev ChannelID) (ChannelID, chain.Amount, int, error) {
+	ch, rest, err := readChannelID(src, prev)
+	if err != nil {
+		return "", 0, 0, err
+	}
+	if len(rest) != 12 {
+		return "", 0, 0, ErrFrameTruncated
+	}
+	return ch, chain.Amount(binary.BigEndian.Uint64(rest[:8])), int(int32(binary.BigEndian.Uint32(rest[8:12]))), nil
+}
+
+// AppendPayload implements BinaryMessage.
+func (m *Pay) AppendPayload(dst []byte) ([]byte, error) {
+	return appendChanAmount(dst, m.Channel, m.Amount, m.Count)
 }
 
 // DecodePayload implements BinaryMessage.
 func (m *Pay) DecodePayload(src []byte) error {
-	ch, rest, err := readChannelID(src, m.Channel)
-	if err != nil {
-		return err
+	ch, amount, count, err := readChanAmount(src, m.Channel)
+	if err == nil {
+		m.Channel, m.Amount, m.Count = ch, amount, count
 	}
-	if len(rest) != 12 {
-		return ErrFrameTruncated
-	}
-	m.Channel = ch
-	m.Amount = chain.Amount(binary.BigEndian.Uint64(rest[:8]))
-	m.Count = int(int32(binary.BigEndian.Uint32(rest[8:12])))
-	return nil
+	return err
 }
 
 // AppendPayload implements BinaryMessage.
 func (m *PayAck) AppendPayload(dst []byte) ([]byte, error) {
-	dst, err := appendChannelID(dst, m.Channel)
-	if err != nil {
-		return dst, err
-	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Amount))
-	return binary.BigEndian.AppendUint32(dst, uint32(m.Count)), nil
+	return appendChanAmount(dst, m.Channel, m.Amount, m.Count)
 }
 
 // DecodePayload implements BinaryMessage.
 func (m *PayAck) DecodePayload(src []byte) error {
-	ch, rest, err := readChannelID(src, m.Channel)
-	if err != nil {
-		return err
+	ch, amount, count, err := readChanAmount(src, m.Channel)
+	if err == nil {
+		m.Channel, m.Amount, m.Count = ch, amount, count
 	}
-	if len(rest) != 12 {
-		return ErrFrameTruncated
-	}
-	m.Channel = ch
-	m.Amount = chain.Amount(binary.BigEndian.Uint64(rest[:8]))
-	m.Count = int(int32(binary.BigEndian.Uint32(rest[8:12])))
-	return nil
+	return err
 }
 
 // AppendPayload implements BinaryMessage.
@@ -778,25 +766,14 @@ func (m *ReplNack) DecodePayload(src []byte) error {
 
 // AppendPayload implements BinaryMessage.
 func (m *PayBatchAck) AppendPayload(dst []byte) ([]byte, error) {
-	dst, err := appendChannelID(dst, m.Channel)
-	if err != nil {
-		return dst, err
-	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.Total))
-	return binary.BigEndian.AppendUint32(dst, uint32(m.Count)), nil
+	return appendChanAmount(dst, m.Channel, m.Total, m.Count)
 }
 
 // DecodePayload implements BinaryMessage.
 func (m *PayBatchAck) DecodePayload(src []byte) error {
-	ch, rest, err := readChannelID(src, m.Channel)
-	if err != nil {
-		return err
+	ch, total, count, err := readChanAmount(src, m.Channel)
+	if err == nil {
+		m.Channel, m.Total, m.Count = ch, total, count
 	}
-	if len(rest) != 12 {
-		return ErrFrameTruncated
-	}
-	m.Channel = ch
-	m.Total = chain.Amount(binary.BigEndian.Uint64(rest[:8]))
-	m.Count = int(int32(binary.BigEndian.Uint32(rest[8:12])))
-	return nil
+	return err
 }

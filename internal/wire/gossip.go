@@ -10,12 +10,11 @@ import (
 
 // Channel-graph gossip (internal/route). Like Hello, these are
 // host-level frames: they never enter an enclave or the simulated
-// network, so they carry no session token and no WireSize — routing
-// is advisory untrusted-host business, while value safety stays with
-// the enclave multihop protocol. Both are hand-rolled
-// BinaryMessage codecs: a 50-node mesh floods announcements on every
-// topology change, and gob's per-frame type descriptors would dominate
-// the payload.
+// network, so they carry no session token — routing is advisory
+// untrusted-host business, while value safety stays with the enclave
+// multihop protocol. Both are hand-rolled BinaryMessage codecs: a
+// 50-node mesh floods announcements on every topology change, and
+// gob's per-frame type descriptors would dominate the payload.
 
 // EdgeAnnounce advertises one DIRECTED edge of the payment-channel
 // graph: the announcing endpoint From can currently forward up to

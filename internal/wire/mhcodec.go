@@ -40,8 +40,10 @@ import (
 // A count of zero decodes to a nil slice, which is also what gob did.
 
 const (
-	txInMinSize  = 32 + 4 + 8 + 2 // outpoint, min-age, signature count
-	txOutMinSize = 8 + 4 + 2      // value, M, key count
+	keySize      = len(cryptoutil.PublicKey{}) // an encoded identity
+	sigSize      = len(cryptoutil.Signature{}) // an encoded signature
+	txInMinSize  = 32 + 4 + 8 + 2              // outpoint, min-age, signature count
+	txOutMinSize = 8 + 4 + 2                   // value, M, key count
 )
 
 func appendStr16(dst []byte, s string) ([]byte, error) {

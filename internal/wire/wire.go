@@ -1,16 +1,15 @@
 // Package wire defines the Teechain protocol messages exchanged between
-// enclaves, their sizes for network simulation, and their framing for
-// byte transports (frame.go).
+// enclaves and their framing for byte transports (frame.go).
 //
-// Messages travel between enclaves either as Go values over the
-// discrete-event simulator or framed over TCP (frame.go: binary payloads
-// for per-payment messages, gob for the rest). Only the enclave-protocol
-// messages in this file carry a WireSize: it is the realistic
-// on-the-wire size the simulator charges to its network
-// (core.Envelope.WireSize), so the bandwidth model of §7 does not depend
-// on the transport in use. The host-level frames (Hello, gossip) and the
-// control-plane messages internal/api registers never cross the
-// simulated network, so they have no size.
+// A message has one encoding and one size: the frame the socket host
+// writes (frame.go: binary payloads for per-payment and multi-hop
+// messages, gob for the rest). The discrete-event simulator encodes
+// every enclave message it carries into that same payload, binds the
+// freshness token to it exactly as the socket host does, and charges
+// its network the resulting frame length, so the bandwidth model of §7
+// is the socket frame's. Replication in the simulator drains the log
+// with one-op ReplBatch frames (core.Node.flushRepl); only cold ops
+// travel as gob ReplUpdate.
 package wire
 
 import (
@@ -26,26 +25,8 @@ type ChannelID string
 // PaymentID identifies a multi-hop payment in flight.
 type PaymentID string
 
-// Message is any message in the frame registry (frame.go). The
-// enclave-protocol messages also implement WireSize() int, the encoded
-// size in bytes the simulator charges for bandwidth; nothing else needs
-// one.
+// Message is any message in the frame registry (frame.go).
 type Message interface{}
-
-const (
-	sigSize    = 64
-	keySize    = 65
-	quoteSize  = 32 + 32 + sigSize + 16 // measurement + report + sig + platform id
-	idOverhead = 24                     // channel/payment id strings
-	hdrSize    = 16                     // message framing overhead
-)
-
-func txSize(tx *chain.Transaction) int {
-	if tx == nil {
-		return 0
-	}
-	return tx.WireSize()
-}
 
 // --- Attestation and secure-channel establishment (§4.1) ---
 
@@ -70,9 +51,6 @@ type Attest struct {
 	Resume bool
 }
 
-// WireSize implements Message.
-func (m *Attest) WireSize() int { return hdrSize + quoteSize + keySize + len(m.DHPublic) + 1 }
-
 // --- Payment channel protocol (Alg. 1) ---
 
 // ChannelOpen asks the remote enclave to open channel ID with the
@@ -83,9 +61,6 @@ type ChannelOpen struct {
 	YoursAddress cryptoutil.Address // receiver's settlement address, as the sender believes it
 }
 
-// WireSize implements Message.
-func (m *ChannelOpen) WireSize() int { return hdrSize + idOverhead + 40 }
-
 // ChannelAck is the signed acknowledgement that opens the channel
 // (Alg. 1, line 26).
 type ChannelAck struct {
@@ -93,9 +68,6 @@ type ChannelAck struct {
 	MyAddress    cryptoutil.Address
 	YoursAddress cryptoutil.Address
 }
-
-// WireSize implements Message.
-func (m *ChannelAck) WireSize() int { return hdrSize + idOverhead + 40 + sigSize }
 
 // DepositInfo describes a fund deposit: the on-chain outpoint, its
 // value, the committee script it pays into, and — for m-of-n committee
@@ -113,11 +85,6 @@ type DepositInfo struct {
 	Members []PathHop
 }
 
-// Size returns the deposit description's encoded size.
-func (d DepositInfo) Size() int {
-	return 36 + 8 + 4 + len(d.Script.Keys)*keySize + idOverhead + len(d.Members)*keySize
-}
-
 // ApproveDeposit presents a deposit for the remote party's approval
 // (Alg. 1, approveMyDeposit). The receiver verifies the deposit is on
 // the blockchain with enough confirmations before approving.
@@ -125,17 +92,11 @@ type ApproveDeposit struct {
 	Deposit DepositInfo
 }
 
-// WireSize implements Message.
-func (m *ApproveDeposit) WireSize() int { return hdrSize + m.Deposit.Size() }
-
 // ApprovedDeposit confirms the receiver validated the deposit on chain
 // (Alg. 1, approvedDeposit).
 type ApprovedDeposit struct {
 	Point chain.OutPoint
 }
-
-// WireSize implements Message.
-func (m *ApprovedDeposit) WireSize() int { return hdrSize + 36 + sigSize }
 
 // AssociateDeposit binds an approved deposit to a channel, transferring
 // the (encrypted) deposit private key material for 1-of-1 deposits
@@ -146,11 +107,6 @@ type AssociateDeposit struct {
 	EncPrivShare []byte // encrypted under the session key; empty for committee deposits
 }
 
-// WireSize implements Message.
-func (m *AssociateDeposit) WireSize() int {
-	return hdrSize + idOverhead + m.Deposit.Size() + len(m.EncPrivShare)
-}
-
 // DissociateDeposit asks the remote to release a deposit from the
 // channel (Alg. 1, dissociateDeposit).
 type DissociateDeposit struct {
@@ -158,18 +114,12 @@ type DissociateDeposit struct {
 	Point   chain.OutPoint
 }
 
-// WireSize implements Message.
-func (m *DissociateDeposit) WireSize() int { return hdrSize + idOverhead + 36 }
-
 // DissociateAck confirms the remote destroyed its key copy (Alg. 1,
 // dissociatedDepositAck).
 type DissociateAck struct {
 	Channel ChannelID
 	Point   chain.OutPoint
 }
-
-// WireSize implements Message.
-func (m *DissociateAck) WireSize() int { return hdrSize + idOverhead + 36 + sigSize }
 
 // Pay transfers value inside a channel (Alg. 1, pay). Count carries the
 // number of client-side-batched logical payments this message
@@ -180,9 +130,6 @@ type Pay struct {
 	Count   int
 }
 
-// WireSize implements Message.
-func (m *Pay) WireSize() int { return hdrSize + idOverhead + 12 }
-
 // PayAck acknowledges a payment; the sender measures latency to this
 // acknowledgement.
 type PayAck struct {
@@ -190,9 +137,6 @@ type PayAck struct {
 	Amount  chain.Amount
 	Count   int
 }
-
-// WireSize implements Message.
-func (m *PayAck) WireSize() int { return hdrSize + idOverhead + 12 }
 
 // PayNack rejects a payment the receiver cannot apply — typically
 // because a multi-hop payment locked the channel while the payment was
@@ -205,9 +149,6 @@ type PayNack struct {
 	Count   int
 	Reason  string
 }
-
-// WireSize implements Message.
-func (m *PayNack) WireSize() int { return hdrSize + idOverhead + 12 + len(m.Reason) }
 
 // MaxPayBatch bounds the payments one PayBatch may carry. Well under
 // what MaxFrameSize admits (8 bytes per amount), so a maximal batch
@@ -228,9 +169,6 @@ type PayBatch struct {
 	Amounts []chain.Amount
 }
 
-// WireSize implements Message.
-func (m *PayBatch) WireSize() int { return hdrSize + idOverhead + 4 + 8*len(m.Amounts) }
-
 // PayBatchAck acknowledges an entire PayBatch: Count payments totalling
 // Total were credited.
 type PayBatchAck struct {
@@ -239,17 +177,11 @@ type PayBatchAck struct {
 	Count   int
 }
 
-// WireSize implements Message.
-func (m *PayBatchAck) WireSize() int { return hdrSize + idOverhead + 12 }
-
 // SettleRequest asks the remote to cooperate in terminating the channel
 // (off-chain if balances are neutral, Alg. 1 settle).
 type SettleRequest struct {
 	Channel ChannelID
 }
-
-// WireSize implements Message.
-func (m *SettleRequest) WireSize() int { return hdrSize + idOverhead }
 
 // SettleNotify informs the remote that the sender terminated the
 // channel and (optionally) carries the settlement transaction.
@@ -258,17 +190,12 @@ type SettleNotify struct {
 	Tx      *chain.Transaction
 }
 
-// WireSize implements Message.
-func (m *SettleNotify) WireSize() int { return hdrSize + idOverhead + txSize(m.Tx) }
-
 // --- Multi-hop payment protocol (Alg. 2) ---
 
 // PathHop names one enclave on a multi-hop path by its identity key.
 type PathHop struct {
 	Identity cryptoutil.PublicKey
 }
-
-func pathSize(p []PathHop) int { return len(p) * keySize }
 
 // MhLock locks the next channel on the path and accumulates deposits
 // into the intermediate settlement transaction τ (Alg. 2, lock).
@@ -289,19 +216,11 @@ type MhLock struct {
 	Fees []chain.Amount
 }
 
-// WireSize implements Message.
-func (m *MhLock) WireSize() int {
-	return hdrSize + 2*idOverhead + 12 + pathSize(m.Path) + txSize(m.Tau) + 8*len(m.Fees)
-}
-
 // MhSign propagates τ backward, collecting signatures (Alg. 2, sign).
 type MhSign struct {
 	Payment PaymentID
 	Tau     *chain.Transaction
 }
-
-// WireSize implements Message.
-func (m *MhSign) WireSize() int { return hdrSize + idOverhead + txSize(m.Tau) }
 
 // MhPreUpdate distributes the fully signed τ forward (Alg. 2,
 // preUpdate). From this point premature termination settles via τ.
@@ -310,16 +229,10 @@ type MhPreUpdate struct {
 	Tau     *chain.Transaction
 }
 
-// WireSize implements Message.
-func (m *MhPreUpdate) WireSize() int { return hdrSize + idOverhead + txSize(m.Tau) }
-
 // MhUpdate applies the balance update backward (Alg. 2, update).
 type MhUpdate struct {
 	Payment PaymentID
 }
-
-// WireSize implements Message.
-func (m *MhUpdate) WireSize() int { return hdrSize + idOverhead }
 
 // MhPostUpdate discards τ forward, re-enabling individual settlement at
 // post-payment state (Alg. 2, postUpdate).
@@ -327,16 +240,10 @@ type MhPostUpdate struct {
 	Payment PaymentID
 }
 
-// WireSize implements Message.
-func (m *MhPostUpdate) WireSize() int { return hdrSize + idOverhead }
-
 // MhRelease releases the channel locks backward (Alg. 2, release).
 type MhRelease struct {
 	Payment PaymentID
 }
-
-// WireSize implements Message.
-func (m *MhRelease) WireSize() int { return hdrSize + idOverhead }
 
 // MhAbort unwinds a multi-hop payment that failed during the lock phase
 // (e.g. a locked or underfunded channel downstream), travelling backward
@@ -350,9 +257,6 @@ type MhAbort struct {
 	Reason    string
 	Transient bool
 }
-
-// WireSize implements Message.
-func (m *MhAbort) WireSize() int { return hdrSize + idOverhead + 1 + len(m.Reason) }
 
 // --- Force-freeze chain replication (Alg. 3) ---
 
@@ -375,20 +279,12 @@ type ReplAttach struct {
 	Seq uint64
 }
 
-// WireSize implements Message.
-func (m *ReplAttach) WireSize() int {
-	return hdrSize + idOverhead + pathSize(m.Members) + 4 + 20 + len(m.Snapshot) + 8
-}
-
 // ReplAttachAck returns the member's freshly generated committee
 // blockchain key, which the owner folds into deposit scripts.
 type ReplAttachAck struct {
 	Chain  string
 	BtcKey cryptoutil.PublicKey
 }
-
-// WireSize implements Message.
-func (m *ReplAttachAck) WireSize() int { return hdrSize + idOverhead + keySize }
 
 // ReplUpdate propagates a sequenced state update down the chain
 // (Alg. 3, stateUpdate). Op is the state-machine operation the backup
@@ -402,18 +298,6 @@ type ReplUpdate struct {
 	Seq   uint64
 	Op    any
 	Retx  bool
-}
-
-// WireSize implements Message.
-func (m *ReplUpdate) WireSize() int { return hdrSize + idOverhead + 8 + sizeOfOp(m.Op) }
-
-// sizeOfOp estimates an op's wire size, deferring to the op itself when
-// it knows better.
-func sizeOfOp(op any) int {
-	if s, ok := op.(interface{ WireSize() int }); ok {
-		return s.WireSize()
-	}
-	return 64
 }
 
 // TauSig is a committee member's signature over one input of the
@@ -430,11 +314,6 @@ type ReplAck struct {
 	Chain   string
 	Seq     uint64
 	TauSigs []TauSig
-}
-
-// WireSize implements Message.
-func (m *ReplAck) WireSize() int {
-	return hdrSize + idOverhead + 8 + len(m.TauSigs)*(8+sigSize)
 }
 
 // MaxReplBatch bounds the ops one ReplBatch may carry. Like
@@ -483,11 +362,6 @@ type ReplBatch struct {
 	Ops  []ReplBatchOp
 }
 
-// WireSize implements Message.
-func (m *ReplBatch) WireSize() int {
-	return hdrSize + idOverhead + 13 + len(m.Ops)*(1+idOverhead+12)
-}
-
 // ReplBatchAck cumulatively acknowledges every replication update with
 // sequence number <= Seq: the entire chain suffix has applied them. One
 // ack releases a whole batch (or several) of withheld effects at the
@@ -496,9 +370,6 @@ type ReplBatchAck struct {
 	Chain string
 	Seq   uint64
 }
-
-// WireSize implements Message.
-func (m *ReplBatchAck) WireSize() int { return hdrSize + idOverhead + 8 }
 
 // ReplNack reports a replication sequence gap upstream: the sender has
 // applied every update with sequence number <= HaveThrough and needs
@@ -514,18 +385,12 @@ type ReplNack struct {
 	HaveThrough uint64
 }
 
-// WireSize implements Message.
-func (m *ReplNack) WireSize() int { return hdrSize + idOverhead + 16 }
-
 // ReplFreeze force-freezes the chain: all members stop accepting
 // updates, settle channels, and release deposits (§6).
 type ReplFreeze struct {
 	Chain  string
 	Reason string
 }
-
-// WireSize implements Message.
-func (m *ReplFreeze) WireSize() int { return hdrSize + idOverhead + len(m.Reason) }
 
 // --- Crash recovery (§6.2 durable mode) ---
 
@@ -543,9 +408,6 @@ type ChanResume struct {
 	RecvCnt uint64
 }
 
-// WireSize implements Message.
-func (m *ChanResume) WireSize() int { return hdrSize + idOverhead + 16 }
-
 // ChanResumeAck closes the reconciliation: the peer's own durable
 // cumulative receipts, against which the recovering side reverts its
 // excess optimistic debits.
@@ -554,9 +416,6 @@ type ChanResumeAck struct {
 	RecvAmt chain.Amount
 	RecvCnt uint64
 }
-
-// WireSize implements Message.
-func (m *ChanResumeAck) WireSize() int { return hdrSize + idOverhead + 16 }
 
 // ReplResync re-seeds a committee member's mirror after the primary
 // crash-recovered: the mirror is replaced wholesale by the primary's
@@ -569,18 +428,12 @@ type ReplResync struct {
 	Seq      uint64
 }
 
-// WireSize implements Message.
-func (m *ReplResync) WireSize() int { return hdrSize + idOverhead + 8 + len(m.Snapshot) }
-
 // ReplResyncAck confirms the member adopted the recovered snapshot at
 // Seq.
 type ReplResyncAck struct {
 	Chain string
 	Seq   uint64
 }
-
-// WireSize implements Message.
-func (m *ReplResyncAck) WireSize() int { return hdrSize + idOverhead + 8 }
 
 // --- Committee threshold signing (§6.1) ---
 
@@ -591,9 +444,6 @@ type SigRequest struct {
 	Tx    *chain.Transaction
 	Input int
 }
-
-// WireSize implements Message.
-func (m *SigRequest) WireSize() int { return hdrSize + idOverhead + 4 + txSize(m.Tx) }
 
 // SigResponse returns the member's signature slot, or a refusal.
 type SigResponse struct {
@@ -606,9 +456,6 @@ type SigResponse struct {
 	Reason  string
 }
 
-// WireSize implements Message.
-func (m *SigResponse) WireSize() int { return hdrSize + idOverhead + 40 + sigSize + len(m.Reason) }
-
 // --- TEE outsourcing (§3) ---
 
 // OutsourceCmd wraps an operator command from a TEE-less client to its
@@ -618,15 +465,9 @@ type OutsourceCmd struct {
 	Payload []byte
 }
 
-// WireSize implements Message.
-func (m *OutsourceCmd) WireSize() int { return hdrSize + 8 + len(m.Payload) }
-
 // OutsourceResult returns the outcome of an outsourced command.
 type OutsourceResult struct {
 	Seq     uint64
 	OK      bool
 	Payload []byte
 }
-
-// WireSize implements Message.
-func (m *OutsourceResult) WireSize() int { return hdrSize + 9 + len(m.Payload) }

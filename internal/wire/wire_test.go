@@ -43,7 +43,9 @@ func allMessages(t *testing.T) []Message {
 		&MhUpdate{Payment: "p1"},
 		&MhPostUpdate{Payment: "p1"},
 		&MhRelease{Payment: "p1"},
+		&MhAbort{Payment: "p1", Reason: "locked", Transient: true},
 		&ReplAttach{Chain: "r1", Snapshot: make([]byte, 128)},
+		&ReplAttachAck{Chain: "r1", BtcKey: key},
 		&ReplUpdate{Chain: "r1", Seq: 3},
 		&ReplAck{Chain: "r1", Seq: 3, TauSigs: []TauSig{{Input: 0, Slot: 1}}},
 		&ReplFreeze{Chain: "r1", Reason: "read at backup"},
@@ -51,76 +53,88 @@ func allMessages(t *testing.T) []Message {
 		&SigResponse{Chain: "r1", Slot: 1},
 		&OutsourceCmd{Seq: 1, Payload: make([]byte, 32)},
 		&OutsourceResult{Seq: 1, OK: true},
+		&PayNack{Channel: "c1", Amount: 7, Count: 1, Reason: "locked"},
+		&PayBatch{Channel: "c1", Amounts: []chain.Amount{1, 2, 3}},
+		&PayBatchAck{Channel: "c1", Total: 6, Count: 3},
+		&ReplBatch{Chain: "r1", FirstSeq: 4, Ops: []ReplBatchOp{{Kind: ReplOpPaySend, Channel: "c1", Amount: 1, Count: 1}}},
+		&ReplBatchAck{Chain: "r1", Seq: 4},
+		&ReplNack{Chain: "r1", WantSeq: 4, HaveThrough: 3},
+		&ChanResume{Channel: "c1", RecvAmt: 5, RecvCnt: 2},
+		&ChanResumeAck{Channel: "c1", RecvAmt: 5, RecvCnt: 2},
+		&ReplResync{Chain: "r1", Snapshot: make([]byte, 64), Seq: 9},
+		&ReplResyncAck{Chain: "r1", Seq: 9},
 	}
 }
 
-type sized interface{ WireSize() int }
-
-// TestWireSizesPositive: every enclave-protocol message in the registry
-// has a positive size, zero-valued and as sampled, so a new enclave
-// message cannot reach the simulated network (core.Envelope.WireSize)
-// unsized. The host-level frames never cross it and carry none.
-func TestWireSizesPositive(t *testing.T) {
+// TestEnclaveMessagesEncode: every enclave-protocol message in the
+// registry has a sample here, and every sample — and every zero-valued
+// message — encodes into a frame that decodes back to the same type.
+// The simulator charges each message its encoded frame length, so an
+// enclave message that cannot encode cannot reach its network either.
+// The host-level frames never cross the simulated network.
+func TestEnclaveMessagesEncode(t *testing.T) {
 	hostFrames := map[reflect.Type]bool{
 		reflect.TypeOf(Hello{}):         true,
 		reflect.TypeOf(ChanAnnounce{}):  true,
 		reflect.TypeOf(GossipSummary{}): true,
 	}
+	sampled := make(map[reflect.Type]bool)
+	msgs := allMessages(t)
+	for _, m := range msgs {
+		sampled[reflect.TypeOf(m).Elem()] = true
+	}
+	var from cryptoutil.PublicKey
 	for code := 1; code < len(typeByCode); code++ {
-		if typeByCode[code] == nil {
+		typ := typeByCode[code]
+		if typ == nil || hostFrames[typ] {
 			continue
 		}
-		m, err := NewByCode(byte(code))
+		if !sampled[typ] {
+			t.Errorf("enclave message %v (code %d) has no sample", typ, code)
+		}
+		zero, err := NewByCode(byte(code))
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, ok := m.(sized)
-		switch {
-		case hostFrames[typeByCode[code]]:
-			if ok {
-				t.Errorf("host-level frame %T has a wire size", m)
-			}
-		case !ok:
-			t.Errorf("enclave message %T (code %d) has no wire size", m, code)
-		case s.WireSize() <= 0:
-			t.Errorf("%T has non-positive wire size %d", m, s.WireSize())
+		msgs = append(msgs, zero)
+	}
+	for _, m := range msgs {
+		frame, err := AppendFrame(nil, from, []byte("token"), m)
+		if err != nil {
+			t.Errorf("%T does not encode: %v", m, err)
+			continue
 		}
-	}
-	for _, m := range allMessages(t) {
-		if n := m.(sized).WireSize(); n <= 0 {
-			t.Errorf("%T has non-positive wire size %d", m, n)
+		f, err := DecodeFrame(frame[4:])
+		if err != nil {
+			t.Errorf("%T frame does not decode: %v", m, err)
+			continue
 		}
-	}
-}
-
-func TestSizeGrowsWithPayload(t *testing.T) {
-	small := &ReplAttach{Snapshot: make([]byte, 10)}
-	large := &ReplAttach{Snapshot: make([]byte, 1000)}
-	if large.WireSize()-small.WireSize() != 990 {
-		t.Fatalf("snapshot size not reflected: %d vs %d", small.WireSize(), large.WireSize())
-	}
-	shortPath := &MhLock{Path: make([]PathHop, 2)}
-	longPath := &MhLock{Path: make([]PathHop, 12)}
-	if longPath.WireSize() <= shortPath.WireSize() {
-		t.Fatal("path length not reflected in size")
-	}
-	withFees := &MhLock{Path: make([]PathHop, 3), Fees: []chain.Amount{0, 7, 0}}
-	if withFees.WireSize() <= (&MhLock{Path: make([]PathHop, 3)}).WireSize() {
-		t.Fatal("fee schedule not reflected in size")
+		if reflect.TypeOf(f.Msg) != reflect.TypeOf(m) {
+			t.Errorf("%T decoded as %T", m, f.Msg)
+		}
+		if n, _ := FrameLen(len(f.Token), len(f.Payload)); n != len(frame) {
+			t.Errorf("%T: FrameLen %d, frame %d bytes", m, n, len(frame))
+		}
 	}
 }
 
 func TestTauSizeTracksDeposits(t *testing.T) {
+	size := func(m BinaryMessage) int {
+		b, err := m.AppendPayload(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b)
+	}
 	tx := sampleTx(t)
 	one := &MhPreUpdate{Tau: tx}
 	tx2 := sampleTx(t)
 	tx2.Inputs = append(tx2.Inputs, tx2.Inputs[0], tx2.Inputs[0])
 	three := &MhPreUpdate{Tau: tx2}
-	if three.WireSize() <= one.WireSize() {
+	if size(three) <= size(one) {
 		t.Fatal("τ with more inputs not larger on the wire")
 	}
-	none := &MhUpdate{}
-	if none.WireSize() >= one.WireSize() {
+	if size(&MhUpdate{}) >= size(one) {
 		t.Fatal("τ-free message not smaller")
 	}
 }
