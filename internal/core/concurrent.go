@@ -94,7 +94,7 @@ func (e *Enclave) HandleLaneBound(from cryptoutil.PublicKey, token []byte, code 
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyTokenBound(s, token, code, payload); err != nil {
+	if err := verifyTokenBound(s.transport, token, code, payload); err != nil {
 		return nil, err
 	}
 	if e.state.Frozen {

@@ -426,8 +426,8 @@ func (e *Enclave) SealTokenBound(dst []byte, peer cryptoutil.PublicKey, code byt
 
 // verifyTokenBound opens a bound token against the received frame
 // bytes and checks the authenticated type code.
-func verifyTokenBound(s *peerSession, token []byte, code byte, payload []byte) error {
-	got, err := s.transport.OpenBound(token, payload)
+func verifyTokenBound(s *cryptoutil.Session, token []byte, code byte, payload []byte) error {
+	got, err := s.OpenBound(token, payload)
 	if err != nil {
 		return err
 	}
@@ -454,7 +454,7 @@ func (e *Enclave) HandleSealedBound(from cryptoutil.PublicKey, token []byte, cod
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyTokenBound(s, token, code, payload); err != nil {
+	if err := verifyTokenBound(s.transport, token, code, payload); err != nil {
 		return nil, err
 	}
 	return e.handleSessionMessage(from, msg)

@@ -8,6 +8,7 @@ import (
 	"teechain/internal/chain"
 	"teechain/internal/cryptoutil"
 	"teechain/internal/netsim"
+	"teechain/internal/route"
 	"teechain/internal/sim"
 	"teechain/internal/tee"
 	"teechain/internal/wire"
@@ -92,10 +93,8 @@ type NodeConfig struct {
 	// BatchWindow, when positive, enables client-side payment batching
 	// with that flush interval (§7.2 uses 100 ms).
 	BatchWindow time.Duration
-	// RetryMin/RetryMax bound the randomized multi-hop retry backoff
-	// (the paper uses 100–200 ms, §7.4).
-	RetryMin, RetryMax time.Duration
-	// MaxRetries bounds multi-hop retry attempts (0 = no retries).
+	// MaxRetries bounds the retries of PayRetry and of a multi-hop
+	// payment (0 = no retries); route.Paper paces them.
 	MaxRetries int
 	// Seed differentiates per-node randomness.
 	Seed uint64
@@ -152,23 +151,9 @@ type mhAttempt struct {
 	// fees, when non-nil, aligns with paths: the forwarding fee
 	// schedule to attach when launching over the matching path.
 	fees    [][]chain.Amount
-	pathIdx int
-	tries   int
-	done    PayDone
-	// donePath, set by PayMultihopPath in place of done, also learns
-	// which path the last attempt took.
-	donePath func(ok bool, latency time.Duration, reason string, path int)
-	started  sim.Time
-}
-
-// report hands the attempt's outcome to its issuer.
-func (att *mhAttempt) report(ok bool, latency time.Duration, reason string) {
-	switch {
-	case att.donePath != nil:
-		att.donePath(ok, latency, reason, att.pathIdx%len(att.paths))
-	case att.done != nil:
-		att.done(ok, latency, reason)
-	}
+	retry   route.Retry
+	done    func(ok bool, latency time.Duration, reason string, path int)
+	started sim.Time
 }
 
 // Node is the untrusted Teechain host: it owns the network endpoint,
@@ -253,12 +238,6 @@ func NewNode(id netsim.NodeID, net *netsim.Network, bc *chain.Chain, dir *Direct
 	enclave, err := NewEnclave(platform, authority.PublicKey(), encCfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.RetryMin == 0 {
-		cfg.RetryMin = 100 * time.Millisecond
-	}
-	if cfg.RetryMax <= cfg.RetryMin {
-		cfg.RetryMax = cfg.RetryMin + 100*time.Millisecond
 	}
 	n := &Node{
 		ID:              id,
@@ -910,41 +889,32 @@ func (n *Node) completeBatch(channel wire.ChannelID, ok bool, reason string) {
 
 // PayRetry is Pay with the §7.4 retry discipline: local failures and
 // remote nacks (channel locked by a crossing multi-hop payment) retry
-// after a randomized 100-200 ms backoff, up to the configured limit.
+// after a route.Paper backoff, up to MaxRetries. Every failure is
+// retried: a direct payment has no path to change.
 func (n *Node) PayRetry(channel wire.ChannelID, amount chain.Amount, done PayDone) {
-	start := n.sim.Now()
-	var attempt func(tries int)
-	finish := func(ok bool, reason string) {
-		if done != nil {
-			done(ok, n.sim.Now().Sub(start), reason)
+	start, r := n.sim.Now(), route.Retry{Policy: route.Paper}
+	var attempt func()
+	settle := func(ok bool, _ time.Duration, reason string) {
+		if ok || r.Tries >= n.cfg.MaxRetries {
+			if done != nil {
+				done(ok, n.sim.Now().Sub(start), reason)
+			}
+			return
+		}
+		wait, _ := r.Failed(true, 1, n.rnd.Int63n)
+		n.sim.Schedule(wait, attempt)
+	}
+	attempt = func() {
+		if err := n.Pay(channel, amount, settle); err != nil {
+			settle(false, 0, err.Error())
 		}
 	}
-	attempt = func(tries int) {
-		retry := func(reason string) {
-			if tries >= n.cfg.MaxRetries {
-				finish(false, reason)
-				return
-			}
-			backoff := n.rnd.DurationBetween(n.cfg.RetryMin, n.cfg.RetryMax)
-			n.sim.Schedule(backoff, func() { attempt(tries + 1) })
-		}
-		err := n.Pay(channel, amount, func(ok bool, _ time.Duration, reason string) {
-			if ok {
-				finish(true, "")
-				return
-			}
-			retry(reason)
-		})
-		if err != nil {
-			retry(err.Error())
-		}
-	}
-	attempt(0)
+	attempt()
 }
 
 // PayMultihop routes amount along one of the given identity paths
-// (primary first); failures retry with randomized backoff, advancing to
-// alternate paths round-robin (dynamic routing, §7.4).
+// (primary first); transient aborts retry under route.Paper, advancing
+// to alternate paths round-robin (dynamic routing, §7.4).
 func (n *Node) PayMultihop(paths [][]cryptoutil.PublicKey, amount chain.Amount, count int, done PayDone) error {
 	return n.PayMultihopFees(paths, nil, amount, count, done)
 }
@@ -953,7 +923,11 @@ func (n *Node) PayMultihop(paths [][]cryptoutil.PublicKey, amount chain.Amount, 
 // schedules: fees, when non-nil, aligns with paths and each schedule
 // aligns with its path (route.Route supplies both halves).
 func (n *Node) PayMultihopFees(paths [][]cryptoutil.PublicKey, fees [][]chain.Amount, amount chain.Amount, count int, done PayDone) error {
-	return n.startMultihop(&mhAttempt{paths: paths, fees: fees, amount: amount, count: count, done: done})
+	return n.startMultihop(paths, fees, amount, count, func(ok bool, latency time.Duration, reason string, _ int) {
+		if done != nil {
+			done(ok, latency, reason)
+		}
+	})
 }
 
 // PayMultihopPath is PayMultihop whose done also receives the index
@@ -961,37 +935,34 @@ func (n *Node) PayMultihopFees(paths [][]cryptoutil.PublicKey, fees [][]chain.Am
 // that carried the payment, which is not the primary once a retry
 // rotated to an alternate.
 func (n *Node) PayMultihopPath(paths [][]cryptoutil.PublicKey, amount chain.Amount, count int, done func(ok bool, latency time.Duration, reason string, path int)) error {
-	return n.startMultihop(&mhAttempt{paths: paths, amount: amount, count: count, donePath: done})
+	return n.startMultihop(paths, nil, amount, count, done)
 }
 
-func (n *Node) startMultihop(att *mhAttempt) error {
-	if len(att.paths) == 0 {
+func (n *Node) startMultihop(paths [][]cryptoutil.PublicKey, fees [][]chain.Amount, amount chain.Amount, count int, done func(ok bool, latency time.Duration, reason string, path int)) error {
+	if len(paths) == 0 {
 		return errors.New("core: no paths supplied")
 	}
-	if att.fees != nil && len(att.fees) != len(att.paths) {
-		return fmt.Errorf("core: %d fee schedules for %d paths", len(att.fees), len(att.paths))
+	if fees != nil && len(fees) != len(paths) {
+		return fmt.Errorf("core: %d fee schedules for %d paths", len(fees), len(paths))
 	}
 	n.mhSeq++
-	att.started = n.sim.Now()
-	n.PaymentsSent += uint64(att.count)
-	n.launchMultihop(att)
+	n.PaymentsSent += uint64(count)
+	n.launchMultihop(&mhAttempt{paths: paths, fees: fees, amount: amount, count: count, done: done, retry: route.Retry{Policy: route.Paper}, started: n.sim.Now()})
 	return nil
 }
 
 func (n *Node) launchMultihop(att *mhAttempt) {
 	n.mhSeq++
 	att.id = wire.PaymentID(fmt.Sprintf("mh-%s-%d", n.ID, n.mhSeq))
-	path := att.paths[att.pathIdx%len(att.paths)]
 	var fees []chain.Amount
 	if att.fees != nil {
-		fees = att.fees[att.pathIdx%len(att.fees)]
+		fees = att.fees[att.retry.Path]
 	}
-	res, err := n.enclave.PayMultihopFees(att.id, att.amount, att.count, path, fees)
+	res, err := n.enclave.PayMultihopFees(att.id, att.amount, att.count, att.paths[att.retry.Path], fees)
 	if err != nil {
-		// Local failure (e.g. our own channel is busy): retry like a
-		// remote failure.
-		n.mh[att.id] = att
-		n.retryMultihop(att, err.Error())
+		// Local failure: our own channel busy or short of funds is
+		// transient, like a remote busy hop.
+		n.retryMultihop(att, err.Error(), errors.Is(err, ErrChannelLocked))
 		return
 	}
 	n.mh[att.id] = att
@@ -1009,23 +980,25 @@ func (n *Node) finishMultihop(e EvMultihopComplete) {
 		n.unwatch(e.Payment)
 		n.MultihopsOK++
 		n.PaymentsAcked += uint64(att.count)
-		att.report(true, n.sim.Now().Sub(att.started), "")
+		att.done(true, n.sim.Now().Sub(att.started), "", att.retry.Path)
 		return
 	}
-	n.retryMultihop(att, e.Reason)
+	delete(n.mh, e.Payment)
+	n.retryMultihop(att, e.Reason, e.Transient)
 }
 
-func (n *Node) retryMultihop(att *mhAttempt, reason string) {
-	delete(n.mh, att.id)
-	att.tries++
-	if att.tries > n.cfg.MaxRetries {
-		n.MultihopsFailed++
-		att.report(false, n.sim.Now().Sub(att.started), reason)
-		return
+// retryMultihop schedules the next attempt of a failed multi-hop
+// payment as route.Paper says, or reports the failure once the abort
+// is not transient or MaxRetries is spent.
+func (n *Node) retryMultihop(att *mhAttempt, reason string, transient bool) {
+	if att.retry.Tries < n.cfg.MaxRetries {
+		if wait, ok := att.retry.Failed(transient, len(att.paths), n.rnd.Int63n); ok {
+			n.sim.Schedule(wait, func() { n.launchMultihop(att) })
+			return
+		}
 	}
-	att.pathIdx++ // rotate paths when alternates exist
-	backoff := n.rnd.DurationBetween(n.cfg.RetryMin, n.cfg.RetryMax)
-	n.sim.Schedule(backoff, func() { n.launchMultihop(att) })
+	n.MultihopsFailed++
+	att.done(false, n.sim.Now().Sub(att.started), reason, att.retry.Path)
 }
 
 // watchTau registers the τ inputs of an in-flight payment for

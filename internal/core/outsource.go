@@ -150,6 +150,10 @@ type Client struct {
 
 	seq     uint64
 	pending map[uint64]clientPending
+
+	// Rejected counts inbound envelopes dropped unread: not from the
+	// attached enclave, or carrying a token that does not verify.
+	Rejected uint64
 }
 
 type clientPending struct {
@@ -225,9 +229,13 @@ func (c *Client) send(to netsim.NodeID, sess *cryptoutil.Session, msg wire.Messa
 // Attached reports whether the remote enclave session is established.
 func (c *Client) Attached() bool { return c.attached }
 
+// handleNetMessage acts only on what the attached enclave sent, and on
+// a result only if its bound token verifies through the session, as
+// HandleSealedBound does for enclaves. Anything else is counted and dropped.
 func (c *Client) handleNetMessage(from netsim.NodeID, payload any) {
 	env, ok := payload.(*Envelope)
-	if !ok {
+	if !ok || env.From != c.remote {
+		c.Rejected++
 		return
 	}
 	switch m := env.Msg.(type) {
@@ -255,6 +263,10 @@ func (c *Client) handleNetMessage(from netsim.NodeID, payload any) {
 		c.transport = transport
 		c.attached = true
 	case *wire.OutsourceResult:
+		if !c.attached || verifyTokenBound(c.transport, env.Token, env.Code, env.Payload) != nil {
+			c.Rejected++
+			return
+		}
 		p, ok := c.pending[m.Seq]
 		if !ok {
 			return
@@ -263,6 +275,8 @@ func (c *Client) handleNetMessage(from netsim.NodeID, payload any) {
 		if p.done != nil {
 			p.done(m.OK, c.sim.Now().Sub(p.issuedAt), "")
 		}
+	default:
+		c.Rejected++
 	}
 }
 

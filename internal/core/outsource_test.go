@@ -95,6 +95,109 @@ func TestOutsourceRejectsSecondUserAndForeignCommands(t *testing.T) {
 	}
 }
 
+// TestOutsourcedClientVerifiesResults: the client acts only on an
+// OutsourceResult whose bound token its session verifies. A result from
+// another sender, one under a forged token, one carrying a token sealed
+// over other bytes, and a replay of a genuine one complete no pending
+// payment and are counted; the enclave's own result still completes it.
+func TestOutsourcedClientVerifiesResults(t *testing.T) {
+	w := newWorld(t)
+	remote := w.node("remote-tee", NodeConfig{Enclave: Config{AllowOutsource: true, MinConfirmations: 1}})
+	bob := w.node("bob", NodeConfig{})
+	w.connect(remote, bob)
+	id := w.openChannel(remote, bob)
+	w.fundAndAssociate(remote, bob, id, 1000)
+	dave, err := NewClient("dave", w.net, w.dir, w.auth)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dave.Attach(remote); err != nil {
+		t.Fatal(err)
+	}
+	w.until(dave.Attached)
+
+	// frame builds an OutsourceResult envelope from sender, sealed
+	// through sess when one is given, the way Node.send does.
+	sess := remote.Enclave().establishedSession(dave.Identity())
+	frame := func(from cryptoutil.PublicKey, sess *peerSession, seq uint64, ok bool) *Envelope {
+		env := &Envelope{From: from, Msg: &wire.OutsourceResult{Seq: seq, OK: ok}}
+		var s *cryptoutil.Session
+		if sess != nil {
+			s = sess.transport
+		}
+		if _, err := env.seal(s); err != nil {
+			t.Fatal(err)
+		}
+		return env
+	}
+	// A genuine result for a payment not yet issued spends its token.
+	early := frame(remote.Identity(), sess, 1, true)
+	dave.handleNetMessage(remote.ID, early)
+
+	var results []bool
+	if err := dave.Pay(id, 100, 1, func(ok bool, _ time.Duration, _ string) { results = append(results, ok) }); err != nil {
+		t.Fatal(err)
+	}
+	forged := frame(remote.Identity(), nil, 1, true)
+	forged.Token = []byte("forged token")
+	rebound := frame(remote.Identity(), nil, 1, true)
+	rebound.Token = frame(remote.Identity(), sess, 7, false).Token
+	for _, tc := range []struct {
+		name string
+		env  *Envelope
+	}{
+		{"other sender", frame(bob.Identity(), bob.Enclave().establishedSession(remote.Identity()), 1, true)},
+		{"forged", forged},
+		{"re-bound", rebound},
+		{"replayed", early},
+	} {
+		before := dave.Rejected
+		dave.handleNetMessage(remote.ID, tc.env)
+		if len(results) != 0 {
+			t.Fatalf("%s result completed the pending payment", tc.name)
+		}
+		if dave.Rejected != before+1 {
+			t.Fatalf("%s result not counted as rejected", tc.name)
+		}
+	}
+
+	w.run()
+	if len(results) != 1 || !results[0] {
+		t.Fatalf("the enclave's own result gave %v, want one success", results)
+	}
+	if myB, _ := channelBal(t, bob, id); myB != 100 {
+		t.Fatalf("bob balance %d, want 100", myB)
+	}
+}
+
+// FuzzDecodeOutCmd: decodeOutCmd reads an untrusted client's command
+// inside the enclave, so it must never panic, and whatever it accepts
+// must survive re-encoding unchanged.
+func FuzzDecodeOutCmd(f *testing.F) {
+	for _, c := range []OutCmd{{}, {Op: "pay", Channel: "ch-1", Amount: 100, Count: 1}, {Op: "settle", Amount: -1, Count: 1 << 30}} {
+		raw, err := encodeOutCmd(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+		f.Add(raw[:len(raw)/2])
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := decodeOutCmd(data)
+		if err != nil {
+			return
+		}
+		raw, err := encodeOutCmd(c)
+		if err != nil {
+			t.Fatalf("re-encoding %+v: %v", c, err)
+		}
+		if again, err := decodeOutCmd(raw); err != nil || again != c {
+			t.Fatalf("round trip %+v -> %+v, %v", c, again, err)
+		}
+	})
+}
+
 func TestOutsourceDisabledByPolicy(t *testing.T) {
 	w := newWorld(t)
 	remote := w.node("remote-tee", NodeConfig{}) // outsourcing off

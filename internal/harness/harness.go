@@ -130,9 +130,6 @@ func hashSeed(name string) uint64 {
 	return v
 }
 
-// Node returns a node by name.
-func (d *Deployment) Node(name string) *core.Node { return d.nodes[name] }
-
 // AddClient creates a TEE-less outsourcing client at a site, wiring its
 // links like AddNode.
 func (d *Deployment) AddClient(name string, site Site) (*core.Client, error) {
@@ -310,9 +307,6 @@ func (s *LatencyStats) Record(d time.Duration) {
 	s.samples = append(s.samples, d)
 	s.sorted = false
 }
-
-// Count returns the number of samples.
-func (s *LatencyStats) Count() int { return len(s.samples) }
 
 // Avg returns the mean latency.
 func (s *LatencyStats) Avg() time.Duration {

@@ -53,12 +53,8 @@ func buildHubSpoke(committee int, tempChannels int) (*hubSpoke, error) {
 	hs := &hubSpoke{d: d, channels: make(map[[2]int]wire.ChannelID)}
 	hs.tiers = workload.PaperTiers(hsTier1, hsTier2, hsTier3)
 	// The paper retries failed payments until they succeed (§7.4), with
-	// a randomized 100-200 ms backoff.
-	cfg := core.NodeConfig{
-		MaxRetries: 1_000_000,
-		RetryMin:   100 * time.Millisecond,
-		RetryMax:   200 * time.Millisecond,
-	}
+	// route.Paper's randomized backoff.
+	cfg := core.NodeConfig{MaxRetries: 1_000_000}
 	for i := 0; i < total; i++ {
 		n, err := d.AddNode(fmt.Sprintf("m%02d", i), SiteUK, cfg)
 		if err != nil {

@@ -363,12 +363,3 @@ func (n *Network) LinkStats(from, to NodeID) (messages, bytes uint64) {
 // Endpoint returns a node's endpoint (nil if unknown), exposing its
 // processor for utilisation metrics.
 func (n *Network) Endpoint(id NodeID) *Endpoint { return n.byName[id] }
-
-// Nodes returns the attached node IDs (order unspecified).
-func (n *Network) Nodes() []NodeID {
-	ids := make([]NodeID, 0, len(n.byName))
-	for id := range n.byName {
-		ids = append(ids, id)
-	}
-	return ids
-}

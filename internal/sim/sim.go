@@ -121,31 +121,15 @@ func (s *Simulator) ScheduleAt(t Time, fn func()) *Event {
 	return e
 }
 
-// ScheduleFunc arranges for fn to run d after the current virtual time
-// without returning a cancellable handle; unlike Schedule it performs no
-// bookkeeping allocation. A negative d fires at the current instant.
-func (s *Simulator) ScheduleFunc(d Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	s.pushEntry(entry{at: s.now.Add(d), fn: fn})
-}
-
-// ScheduleFuncAt is ScheduleFunc for an absolute instant.
+// ScheduleFuncAt arranges for fn to run at instant t without returning
+// a cancellable handle; unlike ScheduleAt it performs no bookkeeping
+// allocation.
 func (s *Simulator) ScheduleFuncAt(t Time, fn func()) {
 	s.pushEntry(entry{at: t, fn: fn})
 }
 
-// ScheduleAction arranges for a to run d after the current virtual
-// time. Pointer-typed actions schedule with zero allocation.
-func (s *Simulator) ScheduleAction(d Duration, a Action) {
-	if d < 0 {
-		d = 0
-	}
-	s.pushEntry(entry{at: s.now.Add(d), act: a})
-}
-
-// ScheduleActionAt is ScheduleAction for an absolute instant.
+// ScheduleActionAt arranges for a to run at instant t. Pointer-typed
+// actions schedule with zero allocation.
 func (s *Simulator) ScheduleActionAt(t Time, a Action) {
 	s.pushEntry(entry{at: t, act: a})
 }

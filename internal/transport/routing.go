@@ -72,21 +72,6 @@ func (h *Host) FindRoute(dst cryptoutil.PublicKey, amount chain.Amount) (route.R
 	return h.routes.Graph().FindRoute(h.enclave.Identity(), dst, amount, 0)
 }
 
-// routedPathFanout is how many alternative paths PayRouted computes
-// once its cheapest route has collided; a Transient abort on one falls
-// through to the next.
-const routedPathFanout = 3
-
-// routedBackoffCap bounds the jittered backoff between PayRouted
-// rounds. A collision means other payments are crossing the same
-// channels, so the right response to repeated collisions is to get OUT
-// of the way: each pathfinding round costs real CPU (Yen's k-shortest
-// over the whole graph), and hundreds of senders re-resolving every
-// few milliseconds can starve the network goroutines that would let
-// any of them finish. The cap trades per-payment latency under
-// contention for network-wide throughput.
-const routedBackoffCap = 500 * time.Millisecond
-
 // PayRouted pays amount to the node with identity dst without an
 // explicit path: the pathfinder picks the cheapest route from the
 // gossip graph, and benign collisions — a hop busy with a crossing
@@ -94,71 +79,74 @@ const routedBackoffCap = 500 * time.Millisecond
 // since — fall through to the next-cheapest routes. Those alternatives
 // are only computed once the cheapest route has collided: most payments
 // complete on it, and Yen's k-shortest costs several single searches.
-// When every route in a round collides, PayRouted re-resolves against
-// the (by then fresher) graph and tries again after a randomized
-// backoff, until the deadline: under concurrent load the jitter
-// decorrelates senders contending for the same channels, which retrying
-// in lockstep never untangles. Every route — adjacent targets included —
-// runs through the atomic multihop stages, never the optimistic payment
-// lane: a lane payment racing a crossing lock is nacked and reversed
-// after Pay already returned, and a route reported as paid must
-// actually have moved the money. The route actually paid is returned;
-// its TotalFee is what the payment cost beyond amount. Non-transient
-// failures and an unroutable target return the error unwrapped, so
-// callers (the client SDK's Retrier above all) can re-resolve against a
-// fresher graph and try again.
+// When every route in a round collides, PayRouted waits route.Socket's
+// jittered backoff, which decorrelates senders contending for the same
+// channels, and re-resolves against the by then fresher graph, until
+// the deadline. Every route — adjacent targets included — runs through
+// the atomic multihop stages, never the optimistic payment lane: a lane
+// payment racing a crossing lock is nacked and reversed after Pay
+// already returned, and a route reported as paid must actually have
+// moved the money. The route actually paid is returned; its TotalFee
+// is what the payment cost beyond amount. Non-transient failures and an
+// unroutable target return the error unwrapped, so callers (the client
+// SDK's Retrier above all) can re-resolve against a fresher graph and
+// try again.
 func (h *Host) PayRouted(dst cryptoutil.PublicKey, amount chain.Amount, timeout time.Duration) (route.Route, error) {
 	deadline := time.Now().Add(timeout)
 	g, self := h.routes.Graph(), h.enclave.Identity()
-	backoff := time.Millisecond
+	retry := route.Retry{Policy: route.Socket}
+	var routes []route.Route
 	var lastErr error
 	for {
-		best, err := g.FindRoute(self, dst, amount, 0)
-		if err != nil {
-			// No feasible path in the graph at all: the caller's graph
-			// subscription, not a retry here, is what fixes that.
-			return route.Route{}, err
-		}
-		routes := []route.Route{best}
-		for i := 0; i < len(routes); i++ {
-			r := routes[i]
-			if i > 0 && slices.Equal(r.Hops, best.Hops) {
-				continue // already tried
-			}
-			remaining := time.Until(deadline)
-			if remaining <= 0 {
-				return route.Route{}, timeoutOr(lastErr, h, amount)
-			}
-			err = h.payMultihopFees(r.Hops, r.Fees, amount, remaining)
-			if err == nil {
-				return r, nil
-			}
-			lastErr = err
-			if !transientRouteErr(err) {
-				// Hard failure: alternates share the same broken
-				// reality (insufficient funds, a frozen chain); do not
-				// burn them.
+		if retry.Path == 0 {
+			best, err := g.FindRoute(self, dst, amount, 0)
+			if err != nil {
+				// No feasible path in the graph at all: the caller's graph
+				// subscription, not a retry here, is what fixes that.
 				return route.Route{}, err
 			}
-			// Transient collision: every lock was released, the next
-			// route starts clean.
-			if i == 0 {
-				alts, ferr := g.FindRoutes(self, dst, amount, routedPathFanout, 0)
-				if ferr != nil {
-					return route.Route{}, ferr
+			routes = append(routes[:0], best)
+		}
+		remaining := time.Until(deadline)
+		if remaining <= 0 {
+			break
+		}
+		r := routes[retry.Path]
+		err := h.payMultihopFees(r.Hops, r.Fees, amount, remaining)
+		if err == nil {
+			return r, nil
+		}
+		lastErr = err
+		transient := transientRouteErr(err)
+		if transient && len(routes) == 1 {
+			// The cheapest route collided: every lock was released, so
+			// its alternates start clean.
+			alts, ferr := g.FindRoutes(self, dst, amount, retry.Paths-1, 0)
+			if ferr != nil {
+				return route.Route{}, ferr
+			}
+			for _, a := range alts {
+				if !slices.Equal(a.Hops, routes[0].Hops) {
+					routes = append(routes, a)
 				}
-				routes = append(routes, alts...)
 			}
 		}
-		sleep := time.Duration(rand.Int63n(int64(backoff))) + backoff/2
-		if time.Until(deadline) < sleep {
-			return route.Route{}, timeoutOr(lastErr, h, amount)
+		// A hard failure is not retried: alternates share the same
+		// broken reality (insufficient funds, a frozen chain).
+		wait, ok := retry.Failed(transient, len(routes), rand.Int63n)
+		if !ok {
+			return route.Route{}, err
 		}
-		time.Sleep(sleep)
-		if backoff < routedBackoffCap {
-			backoff *= 2
+		if time.Until(deadline) < wait {
+			break
 		}
+		time.Sleep(wait)
 	}
+	// Out of time: the last collision says more than the deadline.
+	if lastErr != nil {
+		return route.Route{}, lastErr
+	}
+	return route.Route{}, fmt.Errorf("%w: %s: routed payment of %d", ErrTimeout, h.cfg.Name, amount)
 }
 
 // transientRouteErr reports whether a routed-payment attempt failed
@@ -171,15 +159,6 @@ func transientRouteErr(err error) bool {
 		return mhe.Transient
 	}
 	return errors.Is(err, core.ErrChannelLocked)
-}
-
-// timeoutOr returns lastErr if a routed attempt recorded one, else a
-// plain deadline error.
-func timeoutOr(lastErr error, h *Host, amount chain.Amount) error {
-	if lastErr != nil {
-		return lastErr
-	}
-	return fmt.Errorf("%w: %s: routed payment of %d", ErrTimeout, h.cfg.Name, amount)
 }
 
 // --- Gossip plumbing ---

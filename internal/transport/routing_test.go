@@ -265,6 +265,35 @@ func TestRoutedRepathOnStaleCapacity(t *testing.T) {
 	})
 }
 
+// TestPayRoutedDeadlineOutcomes: a routed payment whose deadline passes
+// before any attempt failed reports ErrTimeout; one that spends its
+// deadline retrying a transient collision reports that collision, which
+// tells the caller more than the timeout does.
+func TestPayRoutedDeadlineOutcomes(t *testing.T) {
+	c := newRoutedCluster(t, map[string]Config{"alice": {}, "bob": {}})
+	c.channel("alice", "bob", 1000)
+	c.awaitEdge("alice", "alice", "bob", 1000)
+	alice, bob := c.hosts["alice"], c.hosts["bob"]
+
+	if _, err := alice.PayRouted(bob.Identity(), 10, 0); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("expired deadline: %v, want ErrTimeout", err)
+	}
+
+	// Spend alice's balance on the payment lane, which does not
+	// reannounce: her graph still offers the channel, and every attempt
+	// fails locally and transiently until the deadline.
+	if err := alice.Pay(channelOf(t, alice, bob), 950); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.AwaitAcked(1, testTimeout); err != nil {
+		t.Fatal(err)
+	}
+	_, err := alice.PayRouted(bob.Identity(), 100, 50*time.Millisecond)
+	if !errors.Is(err, core.ErrChannelLocked) || errors.Is(err, ErrTimeout) {
+		t.Fatalf("deadline after collisions: %v, want the last collision (core.ErrChannelLocked)", err)
+	}
+}
+
 // channelOf finds the (single) channel between two hosts from the
 // owner's enclave state.
 func channelOf(t *testing.T, owner, peer *Host) (id wire.ChannelID) {
